@@ -5,7 +5,12 @@ figure benchmarks tractable (the pure-Python simulator must sustain
 thousands of cycles per second at the scaled sizes).
 """
 
-from repro.config import NetworkConfig, PowerAwareConfig, SimulationConfig
+from repro.config import (
+    NetworkConfig,
+    PolicyConfig,
+    PowerAwareConfig,
+    SimulationConfig,
+)
 from repro.network.simulator import Simulator
 from repro.traffic.uniform import UniformRandomTraffic
 
@@ -52,6 +57,37 @@ def test_light_load_power_aware_cycle_rate(benchmark):
     benchmark.pedantic(run_chunk, rounds=3, iterations=1, warmup_rounds=1)
     assert sim.stats.packets_delivered > 0
     assert sim.relative_power() < 1.0
+
+
+def test_near_idle_power_aware_parked_cycle_rate(benchmark):
+    # A near-idle network over many policy windows: most links settle at
+    # the ladder floor and park, so their windows take the closed-form
+    # path.  A reference run with a no-op policy hook (which turns
+    # parking off) must produce the identical summary.
+    network = NetworkConfig(mesh_width=4, mesh_height=4, nodes_per_cluster=4)
+    config = SimulationConfig(
+        network=network,
+        power=PowerAwareConfig(policy=PolicyConfig(window_cycles=200)),
+        sample_interval=1000,
+    )
+
+    def build() -> Simulator:
+        traffic = UniformRandomTraffic(network.num_nodes, 0.005, seed=3)
+        return Simulator(config, traffic)
+
+    sim = build()
+
+    def run_chunk():
+        sim.run(2000)
+
+    benchmark.pedantic(run_chunk, rounds=3, iterations=1, warmup_rounds=1)
+    assert sim.relative_power() < 1.0
+    assert sim.power.link_windows_parked > 0
+    reference = build()
+    reference.hooks.add("policy", lambda *args: None)
+    reference.run(sim.cycle)
+    assert reference.power.link_windows_parked == 0
+    assert reference.summary() == sim.summary()
 
 
 def test_moderate_load_power_aware_cycle_rate(benchmark):

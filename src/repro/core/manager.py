@@ -24,7 +24,7 @@ from repro.config import (
 )
 from repro.core.laser_policy import OpticalPowerController
 from repro.core.levels import BitRateLadder, OpticalBands
-from repro.core.policy import HOLD
+from repro.core.policy import HOLD, STEP_DOWN
 from repro.core.power_link import PowerAwareLink
 from repro.core.tables import OperatingPointTable
 from repro.engine.wheel import (
@@ -166,6 +166,11 @@ class NetworkPowerManager:
         self.hooks: "HookRegistry | None" = None
         self._wheel: EventWheel | None = None
         self._sample_interval: int | None = None
+        #: Link-windows closed by a full :meth:`PowerAwareLink.on_window`
+        #: and by the parked closed form; together they count every link
+        #: at every window boundary.
+        self.link_windows_evaluated = 0
+        self.link_windows_parked = 0
 
     # -- warm rerun ------------------------------------------------------------
 
@@ -220,6 +225,8 @@ class NetworkPowerManager:
         self.hooks = None
         self._wheel = None
         self._sample_interval = None
+        self.link_windows_evaluated = 0
+        self.link_windows_parked = 0
 
     # -- driving ---------------------------------------------------------------
     #
@@ -271,13 +278,35 @@ class NetworkPowerManager:
                 pal.optical.on_epoch(now)
 
     def _run_window(self, now: int) -> None:
-        """Evaluate every link's policy for the window ending at ``now``."""
+        """Evaluate every link's policy for the window ending at ``now``.
+
+        A link parked by its last window (idle, at a fixed point of the
+        policy; see :meth:`PowerAwareLink._park`) that has carried no
+        flit and seen no demand pressure since is closed in O(1), with
+        exactly the updates the full evaluation would make, so control
+        cost follows the links with traffic.
+        """
         start = now - self.window
         hooks = self.hooks
         transition_hooks = hooks.transition if hooks is not None else ()
         policy_hooks = hooks.policy if hooks is not None else ()
         wheel = self._wheel
+        # Policy/transition observers must see every link's decision, so
+        # they switch parking off and every link takes the full path.
+        parking = not policy_hooks and not transition_hooks
+        parked = 0
         for pal in self.links:
+            if parking and pal.parked_flits == pal.link.flits_carried \
+                    and pal.link.pressure_accum == 0.0:
+                # The parked window repeats the one that parked the link
+                # (PowerAwareLink._park); these are all its updates.
+                pal.windows_observed += 1
+                history = pal.parked_history
+                if history is not None:
+                    history.append(0.0)
+                    pal.policy.decisions[STEP_DOWN] += 1
+                parked += 1
+                continue
             decision = pal.on_window(start, now)
             if policy_hooks:
                 for callback in policy_hooks:
@@ -297,6 +326,8 @@ class NetworkPowerManager:
                     wheel.schedule(pal.engine.next_event,
                                    self._make_transition_wake(pal),
                                    PRI_TRANSITION)
+        self.link_windows_parked += parked
+        self.link_windows_evaluated += len(self.links) - parked
         if hooks is not None and hooks.window:
             for callback in hooks.window:
                 callback(start, now)

@@ -21,6 +21,7 @@ every billing change with its precise timestamp.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 from repro.config import PolicyConfig, TransitionConfig
 from repro.core.laser_policy import OpticalPowerController
@@ -40,6 +41,7 @@ class PowerAwareLink:
         "level_powers", "energy_watt_cycles", "_last_charge", "pending_up",
         "windows_observed", "step_down_guard", "guard_holds",
         "last_lu", "last_bu", "last_step_accepted", "can_sleep",
+        "parked_flits", "parked_history",
     )
 
     def __init__(self, link: Link, ladder: BitRateLadder,
@@ -89,6 +91,16 @@ class PowerAwareLink:
         #: transition engine (False for holds, deferred/rejected steps and
         #: ladder-end no-ops) — telemetry ``transition`` hook payload.
         self.last_step_accepted = False
+        #: ``link.flits_carried`` when the last window *parked* this link
+        #: (see :meth:`_park`), or -1.  While the link carries no
+        #: new flit and sees no demand pressure, its next window repeats
+        #: the last one exactly, and the manager closes it in O(1)
+        #: instead of calling :meth:`on_window`.
+        self.parked_flits = -1
+        #: The policy history a parked window appends its zero ``Lu`` to
+        #: (each such window also counts one STEP_DOWN), or None when the
+        #: link is parked OFF, whose windows feed no policy counter.
+        self.parked_history: deque[float] | None = None
 
     def reset(self, policy_config: PolicyConfig,
               transition_config: TransitionConfig,
@@ -119,6 +131,8 @@ class PowerAwareLink:
         self.last_lu = math.nan
         self.last_bu = math.nan
         self.last_step_accepted = False
+        self.parked_flits = -1
+        self.parked_history = None
 
     # -- energy accounting ----------------------------------------------------
 
@@ -159,7 +173,60 @@ class PowerAwareLink:
             engine.advance(now)
 
     def on_window(self, start: float, end: float) -> int:
-        """Window-boundary policy evaluation; returns the decision taken."""
+        """Window-boundary policy evaluation; returns the decision taken.
+
+        Also parks the link when the outcome is a fixed point that the
+        following windows will repeat (see :meth:`_park`).
+        """
+        decision = self._evaluate(start, end)
+        self._park(decision)
+        return decision
+
+    def _park(self, decision: int) -> None:
+        """Park this link if the window it just closed is a fixed point.
+
+        That is the case when the window read ``Lu`` = ``Bu`` = 0, took
+        no step (so ``last_step_accepted`` stays False) and left the
+        link asleep in the OFF rung (which only demand wakes), or at the
+        ladder floor with no LINK_OFF rung below after a rejected
+        STEP_DOWN.  Later all-zero windows repeat that STEP_DOWN:
+        appending a zero never raises the Eq. 11 average (float sums of
+        non-negative terms are monotone), every other input is
+        unchanged, and STEP_DOWN only needs the average to stay below TL.
+
+        The next window repeats this one as long as nothing feeds the
+        link activity.  Here that means no flit in flight (so the
+        serialiser is free too), empty downstream buffers, no fault
+        state (retransmissions add busy time without a new flit) and no
+        optical controller (its epochs move on their own).  The manager
+        checks the rest, no new flit and no demand pressure, before it
+        closes a parked window in closed form.
+        """
+        self.parked_flits = -1
+        engine = self.engine
+        state = engine.state
+        if state is TransitionState.OFF:
+            history = None
+        elif decision == STEP_DOWN and state is TransitionState.STABLE \
+                and engine.level == 0 and not self.can_sleep:
+            history = self.policy._history
+        else:
+            return
+        if self.last_lu != 0.0 or self.last_bu != 0.0 \
+                or self.last_step_accepted or self.optical is not None:
+            return
+        link = self.link
+        if link.faults is not None or link.has_in_flight:
+            return
+        buffers = self.downstream_buffer
+        if buffers:
+            for buffer in buffers:
+                if not buffer.is_empty:
+                    return
+        self.parked_flits = link.flits_carried
+        self.parked_history = history
+
+    def _evaluate(self, start: float, end: float) -> int:
         self.windows_observed += 1
         window = end - start
         # Pass the window end so serialisation time straddling the boundary

@@ -45,6 +45,12 @@ Events
 ``link_failure``
     ``cb(link, now)`` when a scheduled hard link failure takes effect.
 
+Attaching any ``policy`` or ``transition`` callback turns quiet-link
+parking off: every link then takes the full window evaluation, so the
+callbacks see every decision.  Results are identical either way; only
+control cost changes (see
+:meth:`~repro.core.manager.NetworkPowerManager._run_window`).
+
 The three ``exec_*`` events are fired by the sweep executor
 (:mod:`repro.experiments.executor`), not by the simulator: a registry
 also fronts the execution harness so sweep-lifecycle observers (the

@@ -21,9 +21,14 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError, LinkStateError
 from repro.network.flit import Flit
+
+if TYPE_CHECKING:  # pragma: no cover - typing-only import
+    from repro.engine.active import ActiveSet
+    from repro.engine.schedule import DeliverySchedule
 
 #: Link roles within the clustered system (used for reporting and for the
 #: power manager to pick Bu sources).
@@ -95,10 +100,14 @@ class Link:
         #: Incremented by the router/node feeding the link.
         self.pressure_accum = 0.0
         self.flits_carried = 0
-        #: Optional set maintained by the simulator: links with flits in
-        #: flight register themselves so the delivery loop only visits
-        #: active links instead of all ~1.2k links every cycle.
-        self.registry: set["Link"] | None = None
+        #: Delivery registry assigned by the simulator: a link registers
+        #: itself when its pipeline goes from empty to non-empty, so the
+        #: deliver phase visits only links with flits in flight.  A
+        #: :class:`~repro.engine.schedule.DeliverySchedule` (fault-free
+        #: runs, armed by arrival time) or an
+        #: :class:`~repro.engine.active.ActiveSet` (fault runs, scanned);
+        #: ``None`` outside a simulator.
+        self.registry: DeliverySchedule | ActiveSet[Link] | None = None
         #: Hard-failure flag set by the reliability manager.  Routing
         #: refuses to send *new* packets over a failed link; flits already
         #: committed (wormhole worms in progress) drain normally — the

@@ -15,19 +15,24 @@ from repro.core.manager import (
     ladder_from_config,
     power_model_from_config,
 )
+from repro.core.policy import HOLD
 from repro.errors import ConfigError
+from repro.network.packet import Packet
 from repro.network.stats import StatsCollector
 from repro.network.topology import ClusteredMesh
 
 
-def make_manager(technology=VCSEL, optical_levels=1, window=100):
+def make_manager(technology=VCSEL, optical_levels=1, window=100,
+                 link_off=False, pressure_aware=True, history=1):
     network = NetworkConfig(mesh_width=2, mesh_height=2, nodes_per_cluster=2,
                             buffer_depth=8, num_vcs=2)
     topology = ClusteredMesh(network, StatsCollector())
     power = PowerAwareConfig(
         technology=technology,
         optical_levels=optical_levels,
-        policy=PolicyConfig(window_cycles=window, history_windows=1),
+        link_off=link_off,
+        policy=PolicyConfig(window_cycles=window, history_windows=history,
+                            pressure_aware_utilisation=pressure_aware),
         transitions=TransitionConfig(
             bit_rate_transition_cycles=2, voltage_transition_cycles=10,
             optical_transition_cycles=300, laser_epoch_cycles=400,
@@ -307,3 +312,279 @@ class TestTransitionIterationDeterminism:
             manager.on_cycle(now)
         assert not manager._transitioning
         assert all(pal.engine.steps_down == 1 for pal in manager.links)
+
+
+def _full_path_twin(**kwargs):
+    """A manager whose no-op policy hook forces every window's full
+    evaluation: the oracle a parking manager must match."""
+    from repro.engine.hooks import HookRegistry
+
+    manager, topology = make_manager(**kwargs)
+    manager.hooks = HookRegistry()
+    manager.hooks.add("policy", lambda pal, lu, bu, decision, now: None)
+    return manager, topology
+
+
+def _link_states(manager):
+    return [
+        (pal.windows_observed, dict(pal.policy.decisions),
+         tuple(pal.policy._history), pal.last_lu, pal.last_bu,
+         pal.last_step_accepted, pal.level, pal.engine.state)
+        for pal in manager.links
+    ]
+
+
+class TestQuietLinkParking:
+    """Windows of a parked link are closed in O(1) and must match the
+    full evaluation exactly; anything that gives the link activity
+    un-parks it.  (window 50, history 1: every idle link reaches the
+    ladder floor by cycle 250 and parks at the window after.)"""
+
+    PARKED_BY = 350
+
+    @staticmethod
+    def _twins(**kwargs):
+        return (make_manager(window=50, **kwargs),
+                _full_path_twin(window=50, **kwargs))
+
+    @staticmethod
+    def _mesh_link(manager):
+        return next(pal for pal in manager.links if pal.link.kind == "mesh")
+
+    def _drive(self, twins, start, stop, stimulus=None):
+        """Step both managers over [start, stop), applying ``stimulus``
+        (manager, topology, now) to each first; assert they agree."""
+        for now in range(start, stop):
+            for manager, topology in twins:
+                if stimulus is not None:
+                    stimulus(manager, topology, now)
+                manager.on_cycle(now)
+        (plain, _), (full, _) = twins
+        assert _link_states(plain) == _link_states(full)
+
+    def _parked_twins(self):
+        twins = self._twins()
+        self._drive(twins, 1, self.PARKED_BY + 1)
+        plain = twins[0][0]
+        assert all(pal.parked_flits == 0 for pal in plain.links)
+        assert twins[1][0].link_windows_parked == 0
+        return twins
+
+    def test_idle_links_park_and_match_full_path(self):
+        twins = self._parked_twins()
+        plain = twins[0][0]
+        before = plain.link_windows_evaluated
+        self._drive(twins, self.PARKED_BY + 1, 600)
+        # Five more windows, none of them evaluated in full.
+        assert plain.link_windows_evaluated == before
+        assert plain.link_windows_parked >= 5 * len(plain.links)
+
+    def test_credit_blocked_demand_unparks(self):
+        # A node holding a packet with no credit left pushes nothing but
+        # records demand pressure on its injection link every cycle.
+        twins = self._parked_twins()
+        pals = []
+        for manager, topology in twins:
+            node = topology.nodes[0]
+            for counter in node.credits:
+                while counter.available:
+                    counter.consume()
+            node.enqueue_packet(Packet(1, 0, 1, 4, self.PARKED_BY))
+            pals.append(next(p for p in manager.links
+                             if p.link is node.link))
+
+        def blocked(manager, topology, now):
+            topology.nodes[0].step(now)
+
+        plain = twins[0][0]
+        before = plain.link_windows_evaluated
+        self._drive(twins, self.PARKED_BY + 1, 401, blocked)
+        pal = pals[0]
+        assert pal.link.flits_carried == 0
+        assert pal.last_lu == 1.0  # pressure-aware Lu saw the demand
+        assert plain.link_windows_evaluated == before + 1
+        assert pal.parked_flits == -1
+
+    def test_push_straddling_a_boundary_unparks(self):
+        # Pushed one cycle before the boundary at the 2-cycle floor
+        # service time: half the flit's busy time lands in the next
+        # window, and the flit arrives after the boundary.
+        twins = self._parked_twins()
+
+        def straddle(manager, topology, now):
+            pal = self._mesh_link(manager)
+            if now == 399:
+                pal.link.push(Packet(1, 0, 1, 1, 0).make_flits()[0], now)
+            for flit in pal.link.pop_arrivals(now):
+                pal.downstream_buffer[0].push(flit, now)
+            buffer = pal.downstream_buffer[0]
+            if now == 410 and not buffer.is_empty:
+                buffer.pop(now)
+
+        self._drive(twins, self.PARKED_BY + 1, 401, straddle)
+        pal = self._mesh_link(twins[0][0])
+        assert pal.last_lu == 1.0 / 50  # only the part before 400
+        assert pal.parked_flits == -1
+        self._drive(twins, 401, 451, straddle)
+        assert pal.last_lu == 1.0 / 50  # the carried part
+        assert pal.last_bu > 0.0
+        self._drive(twins, 451, 501, straddle)
+        assert pal.parked_flits == 1  # re-parked once quiet again
+
+    def test_downstream_flit_in_and_out_within_a_window(self):
+        # The flit arrives and leaves between two boundaries, so the
+        # buffer is empty at both; its occupancy still reaches Bu even
+        # though the parked windows left the buffer's integral clock
+        # behind.
+        twins = self._parked_twins()
+
+        def visit(manager, topology, now):
+            pal = self._mesh_link(manager)
+            if now == 410:
+                pal.link.push(Packet(1, 0, 1, 1, 0).make_flits()[0], now)
+            for flit in pal.link.pop_arrivals(now):
+                pal.downstream_buffer[0].push(flit, now)
+            if now == 420:
+                pal.downstream_buffer[0].pop(now)
+
+        self._drive(twins, self.PARKED_BY + 1, 451, visit)
+        pal = self._mesh_link(twins[0][0])
+        buffers = pal.downstream_buffer
+        # Arrived at 413 (2-cycle service + 1 propagation), left at 420.
+        assert pal.last_bu == pytest.approx(
+            7 / 50 / buffers[0].capacity / len(buffers))
+
+    def test_flit_in_flight_at_an_idle_boundary_blocks_parking(self):
+        # A long pipeline: the flit's busy time falls in the first window,
+        # the next window is idle, and the flit lands in the third.
+        twins = self._parked_twins()
+        for manager, _ in twins:
+            self._mesh_link(manager).link.propagation_cycles = 120
+
+        def slow(manager, topology, now):
+            pal = self._mesh_link(manager)
+            if now == 351:
+                pal.link.push(Packet(1, 0, 1, 1, 0).make_flits()[0], now)
+            for flit in pal.link.pop_arrivals(now):
+                pal.downstream_buffer[0].push(flit, now)
+            if now == 520:
+                pal.downstream_buffer[0].pop(now)
+
+        self._drive(twins, self.PARKED_BY + 1, 451, slow)
+        pal = self._mesh_link(twins[0][0])
+        assert pal.last_lu == 0.0 and pal.last_bu == 0.0
+        assert pal.parked_flits == -1  # idle window, but a flit in flight
+        self._drive(twins, 451, 501, slow)
+        assert pal.last_bu > 0.0
+
+    def test_arrival_on_the_boundary_blocks_parking(self):
+        # The flit lands exactly at the boundary: zero occupancy time in
+        # the closing window, but the buffer is not empty.
+        twins = self._parked_twins()
+        for manager, _ in twins:
+            self._mesh_link(manager).link.propagation_cycles = 97
+
+        def on_boundary(manager, topology, now):
+            pal = self._mesh_link(manager)
+            if now == 351:
+                pal.link.push(Packet(1, 0, 1, 1, 0).make_flits()[0], now)
+            for flit in pal.link.pop_arrivals(now):
+                pal.downstream_buffer[0].push(flit, now)
+            if now == 470:
+                pal.downstream_buffer[0].pop(now)
+
+        self._drive(twins, self.PARKED_BY + 1, 451, on_boundary)
+        pal = self._mesh_link(twins[0][0])
+        assert pal.last_lu == 0.0 and pal.last_bu == 0.0
+        assert pal.parked_flits == -1
+        self._drive(twins, 451, 501, on_boundary)
+        assert pal.last_bu > 0.0
+
+    def test_sleep_blocked_by_ignored_pressure_does_not_park(self):
+        # With pressure left out of Lu, demand with no push reads Lu = 0
+        # but still keeps a sleep-armed floor link awake (a rejected
+        # STEP_DOWN); once the demand stops, the next window sleeps.
+        twins = self._twins(link_off=True, pressure_aware=False)
+
+        def demand(manager, topology, now):
+            if 250 < now <= 300:
+                for pal in manager.links:
+                    pal.link.pressure_accum += 1.0
+
+        self._drive(twins, 1, 301, demand)
+        plain = twins[0][0]
+        assert plain.level_histogram()[0] == len(plain.links)
+        assert plain.asleep_count() == 0
+        self._drive(twins, 301, 351, demand)
+        sleepers = sum(pal.can_sleep for pal in plain.links)
+        assert sleepers > 0
+        assert plain.asleep_count() == sleepers
+
+    def test_hold_at_the_floor_does_not_park(self):
+        # History 4, two demand windows at Lu 0.92, then silence: the
+        # average sits at 0.46, between TL and TH, for two all-zero
+        # windows (HOLD), and only then drops below TL (STEP_DOWN).
+        twins = self._twins(history=4)
+        self._drive(twins, 1, self.PARKED_BY + 1)
+
+        def demand(manager, topology, now):
+            if 350 < now <= 450 and now % 50 <= 45:
+                for pal in manager.links:
+                    pal.link.pressure_accum += 1.0
+
+        self._drive(twins, self.PARKED_BY + 1, 501, demand)
+        plain = twins[0][0]
+        assert all(pal.policy.decisions[HOLD] == 2 and pal.last_lu == 0.0
+                   for pal in plain.links)
+        self._drive(twins, 501, 601, demand)
+        assert all(pal.policy.decisions[HOLD] == 3 for pal in plain.links)
+
+    def test_power_link_reset_clears_the_stamp(self):
+        manager, _ = make_manager(window=50)
+        for now in range(1, self.PARKED_BY + 1):
+            manager.on_cycle(now)
+        pal = manager.links[0]
+        assert pal.parked_flits == 0
+        pal.reset(manager.config.policy, manager.config.transitions, None)
+        assert pal.parked_flits == -1
+
+    def test_policy_hook_turns_parking_off(self):
+        manager, _ = _full_path_twin(window=50)
+        calls = []
+        manager.hooks.add("policy", lambda *args: calls.append(args))
+        for now in range(1, 601):
+            manager.on_cycle(now)
+        assert manager.link_windows_parked == 0
+        assert len(calls) == 12 * len(manager.links)
+
+
+class TestWindowCounters:
+    def test_counters_cover_every_link_window(self):
+        manager, _ = make_manager(window=50)
+        for now in range(1, 1001):
+            manager.on_cycle(now)
+        windows = 1000 // 50
+        assert manager.link_windows_parked > 0
+        assert manager.link_windows_evaluated > 0
+        assert manager.link_windows_evaluated + manager.link_windows_parked \
+            == len(manager.links) * windows
+
+    def test_reset_clears_counters(self):
+        manager, _ = make_manager(window=50)
+        for now in range(1, 1001):
+            manager.on_cycle(now)
+        manager.reset(manager.config)
+        assert manager.link_windows_evaluated == 0
+        assert manager.link_windows_parked == 0
+        assert all(pal.parked_flits == -1 for pal in manager.links)
+
+    def test_counters_stay_out_of_the_summary(self, tiny_sim_config):
+        from repro.network.simulator import Simulator
+        from repro.traffic.uniform import UniformRandomTraffic
+
+        traffic = UniformRandomTraffic(
+            tiny_sim_config.network.num_nodes, 0.0, seed=5)
+        sim = Simulator(tiny_sim_config, traffic)
+        sim.run(1500)
+        assert sim.power.link_windows_parked > 0
+        assert not any("link_windows" in key for key in sim.summary())
