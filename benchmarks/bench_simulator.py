@@ -156,3 +156,48 @@ def test_light_load_power_aware_traced_cycle_rate(benchmark):
     reference = make_sim(power=True, rate=0.02)
     reference.run(sim.cycle)
     assert reference.summary() == sim.summary()
+
+
+class _FiniteUniformTraffic(UniformRandomTraffic):
+    """Uniform traffic that stops at ``until``, so a run can drain."""
+
+    def __init__(self, num_nodes: int, injection_rate: float, until: int,
+                 seed: int):
+        super().__init__(num_nodes, injection_rate, seed=seed)
+        self.until = until
+
+    def _rate_at(self, now: int) -> float:
+        return self.injection_rate if now < self.until else 0.0
+
+    def exhausted(self, now: int) -> bool:
+        return now >= self.until
+
+
+def test_fault_injected_retry_drain_rate(benchmark):
+    # Low received power with the margin guard off: links step down into
+    # high-BER levels and retransmissions fire throughout (about 3,000 of
+    # them per run), so every retry re-files its link in the delivery
+    # calendar.  The run must still drain every packet.
+    from repro.reliability import FaultConfig
+
+    network = NetworkConfig(mesh_width=4, mesh_height=4, nodes_per_cluster=4)
+    config = SimulationConfig(
+        network=network,
+        power=PowerAwareConfig(),
+        sample_interval=1000,
+        faults=FaultConfig(seed=7, received_power_w=10e-6,
+                           margin_guard=False),
+        stall_limit_cycles=4000,
+    )
+
+    def drain() -> tuple[Simulator, bool]:
+        traffic = _FiniteUniformTraffic(network.num_nodes, 2.0, until=1500,
+                                        seed=3)
+        sim = Simulator(config, traffic)
+        return sim, sim.run_until_drained(40_000)
+
+    sim, drained = benchmark.pedantic(drain, rounds=3, iterations=1,
+                                      warmup_rounds=0)
+    assert drained
+    assert sim.stats.packets_delivered == sim.stats.packets_created > 0
+    assert sim.reliability.report().flits_retransmitted > 0

@@ -1,6 +1,6 @@
 """The rule catalogue for ``repro check``.
 
-Nine families, twenty-nine rules (see ``docs/static-analysis.md``):
+Nine families, thirty rules (see ``docs/static-analysis.md``):
 
 =========  ==================================================
 family     invariant
@@ -47,6 +47,7 @@ from repro.analysis.rules.hotpath import (
     ComprehensionInHotPathRule,
     LocalImportRule,
     LoggingInHotPathRule,
+    StaleHotEntryRule,
 )
 from repro.analysis.rules.mirrors import (
     MirrorCoherenceRule,
@@ -88,6 +89,7 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
     LoggingInHotPathRule,
     ClosureInHotPathRule,
     ComprehensionInHotPathRule,
+    StaleHotEntryRule,
     MirrorCoherenceRule,
     MirrorRebuildRule,
     MirrorSpecStalenessRule,

@@ -16,6 +16,8 @@ silently under maintenance; these rules pin them:
 * ``HP004`` — no comprehensions/generator expressions: each one
   allocates a list/iterator per iteration; the hot loop indexes into
   preallocated work lists instead.
+* ``HP005`` — every ``HOT_FUNCTIONS`` entry resolves: an entry whose
+  function was deleted or renamed silently drops out of HP001-HP004.
 
 The hot set is named explicitly (``HOT_FUNCTIONS``) rather than guessed
 from profiles, so a reviewer can see exactly which bodies are under the
@@ -51,8 +53,10 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     # resets) runs once per sweep point; at bench sweep rates that is
     # thousands of invocations per second, and the whole point of
     # reset-in-place is to stay cheaper than reconstruction — keep the
-    # bodies allocation-light and import-free.
+    # bodies allocation-light and import-free.  Link.push runs per
+    # flit-hop (it files into the delivery calendar).
     "repro/network/links.py": frozenset({
+        "Link.push",
         "Link.reset",
     }),
     # The batched numpy gate runs once per simulated cycle; its inner
@@ -71,12 +75,15 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         "TorusTopology.route_direction",
         "TorusTopology.vc_class",
     }),
+    # The arrival calendar: popped once per cycle, filed into once per
+    # flit-hop (Link.push, Node.step, Router._forward) and once per
+    # retransmission.
     "repro/engine/schedule.py": frozenset({
-        "DeliverySchedule.add",
-        "DeliverySchedule.discard",
         "DeliverySchedule.pop_due",
-        "DeliverySchedule.rearm",
-        "DeliverySchedule.retire",
+    }),
+    "repro/reliability/faults.py": frozenset({
+        "LinkFaultState.filter_arrivals",
+        "LinkFaultState._schedule_retry",
     }),
     "repro/engine/wheel.py": frozenset({
         "EventWheel.schedule",
@@ -94,9 +101,15 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     }),
     "repro/network/topology.py": frozenset({
         "NetworkFabric.reset",
+        "Node.step",
         "Node.reset",
     }),
 }
+
+#: Where ``HOT_FUNCTIONS`` lives: a module missing from the tree is only
+#: reported when this file is part of the run (a partial-tree run, such
+#: as a test fixture, legitimately holds only some hot modules).
+HOTPATH_MODULE = "repro/analysis/rules/hotpath.py"
 
 #: Call names that mean "this line produces log/console output".
 _LOGGING_CALLS = frozenset({
@@ -106,20 +119,25 @@ _LOGGING_CALLS = frozenset({
 _LOGGING_BASES = frozenset({"logging", "logger", "log", "warnings"})
 
 
+def _functions(src: SourceFile) -> Iterable[tuple[str, ast.FunctionDef]]:
+    """Yield ``(qualified_name, node)`` for every method and function."""
+    for node in ast.walk(src.tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
 def _hot_bodies(src: SourceFile) -> Iterable[tuple[str, ast.FunctionDef]]:
     """Yield ``(qualified_name, node)`` for this file's hot functions."""
     wanted = HOT_FUNCTIONS.get(src.rel.removeprefix("src/"))
     if not wanted:
         return
-    for node in ast.walk(src.tree):
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef):
-                    qualified = f"{node.name}.{item.name}"
-                    if qualified in wanted:
-                        yield qualified, item
-        elif isinstance(node, ast.FunctionDef) and node.name in wanted:
-            yield node.name, node
+    for qualified, node in _functions(src):
+        if qualified in wanted:
+            yield qualified, node
 
 
 class _HotPathRule(Rule):
@@ -237,4 +255,36 @@ class ComprehensionInHotPathRule(_HotPathRule):
                 yield self.finding(
                     src.rel, node,
                     f"{kind} inside hot path {qualified}",
+                )
+
+
+class StaleHotEntryRule(Rule):
+    """HP005: a ``HOT_FUNCTIONS`` entry that names nothing in the code."""
+
+    rule_id = "HP005"
+    name = "hot-set-entries-resolve"
+    description = ("a HOT_FUNCTIONS entry names a module or function that "
+                   "no longer exists, so HP001-HP004 silently stop "
+                   "checking it")
+    hint = "delete or update the stale entry in analysis/rules/hotpath.py"
+
+    def check_project(self, project: Project) -> Iterable[Finding]:
+        by_module = {src.rel.removeprefix("src/"): src for src in project}
+        anchor = by_module.get(HOTPATH_MODULE)
+        for module, wanted in sorted(HOT_FUNCTIONS.items()):
+            src = by_module.get(module)
+            if src is None:
+                if anchor is not None:
+                    yield self.finding(
+                        anchor.rel, None,
+                        f"HOT_FUNCTIONS names module {module}, which is "
+                        f"not in the tree",
+                    )
+                continue
+            defined = {qualified for qualified, _ in _functions(src)}
+            for qualified in sorted(wanted - defined):
+                yield self.finding(
+                    src.rel, None,
+                    f"HOT_FUNCTIONS names {qualified} in {module}, which "
+                    f"no longer exists",
                 )

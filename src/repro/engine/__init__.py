@@ -5,6 +5,8 @@ layers plug into:
 
 * :class:`~repro.engine.active.ActiveSet` — registries of components that
   currently hold work, so a cycle costs O(active) instead of O(network);
+* :class:`~repro.engine.schedule.DeliverySchedule` — the per-flit
+  arrival calendar the deliver phase pops once per cycle;
 * :class:`~repro.engine.wheel.EventWheel` — deterministic scheduled
   wake-ups replacing per-cycle ``now % period`` polling;
 * :class:`~repro.engine.hooks.HookRegistry` — typed observer hooks

@@ -1,194 +1,123 @@
-"""Arrival-time delivery schedule for fault-free links.
+"""Per-flit arrival calendar driving the deliver phase.
 
 The deliver phase's job is "hand over every flit whose link arrival time
-has passed".  The :class:`~repro.engine.active.ActiveSet` formulation scans
-every link with *any* flit in flight, every cycle — but at load most active
-links' next arrival is one or two cycles in the future (multi-cycle service
-times at reduced bit rates plus propagation), so most of the scan is wasted.
+has passed".  A flit's arrival time is fully known the moment it is
+pushed, so :class:`DeliverySchedule` files one entry per flit — the
+link's id — in a calendar of per-cycle buckets, under ``ceil(arrival)``:
+exactly the first integer cycle at which an ``arrival <= now`` scan
+would fire.  Pushers file straight into :attr:`DeliverySchedule.buckets`
+through the link's ``calendar`` reference (``Link.push`` and its inlined
+copies in ``Router._forward`` and ``Node.step``), so filing costs one
+``ceil`` and one list append.
 
-A link's arrival times are fully known the moment a flit is pushed, and
-they are monotonic per link.  :class:`DeliverySchedule` exploits that: it
-keeps a calendar of per-cycle wake-up buckets, where a link is filed under
-``due_cycle = ceil(arrival)`` — exactly the first integer cycle at which
-the old scan's ``arrival <= now`` test would fire.  The deliver phase pops
-the current cycle's bucket instead of scanning; a link with remaining
-flits is re-armed for its next arrival.  A plain dict-of-lists beats a
-heap here because the simulator visits every integer cycle in order, and
-arrivals are always armed for *future* cycles (service time is >= the
-bit-period, so ``ceil(arrival) > now`` at push time): each bucket is
-built, popped once, and never revisited.  Buckets are sorted by link id
-before delivery, so same-cycle deliveries come out in ascending link
-order — the same order the sorted active-set scan (and the legacy
-step-everything loop) produces, keeping runs bit-identical
-(property-tested).
+The deliver phase pops the current cycle's bucket, sorts it (ascending
+link id — the order the step-everything scan over all links produces,
+keeping runs bit-identical) and hands over ``link._in_flight.popleft()``
+once per entry.  Entries are bare link ids, so sorting compares ints
+only; a link's entries are interchangeable, and popping its deque once
+per entry keeps per-link FIFO order.  The link deque stays the single
+record of flits in flight — the calendar holds no flits.
 
-Only fault-free runs use the schedule.  Fault injection may *reschedule*
-in-flight arrivals (retransmission backoff), which would invalidate armed
-wake-ups; those runs keep the scan path, where per-cycle re-checks are the
-point.
+A plain dict-of-lists beats a heap because the simulator visits every
+integer cycle in order and pushes always land on *future* cycles
+(service and propagation are positive, so ``ceil(arrival) > now`` for a
+push at integer ``now``): each bucket is built, popped once and never
+revisited.
 
-Duck-type compatibility: ``add``/``discard``/``__len__``/``__bool__``/
-``__contains__`` match the ``ActiveSet`` registry protocol that
-:class:`~repro.network.links.Link` and the simulator's drain check speak.
+Fault-injected links share the calendar.  A corrupted flit's
+retransmission moves its arrival later; ``LinkFaultState._schedule_retry``
+files a fresh entry at ``ceil`` of the new arrival, and the deliver phase
+runs such links through ``LinkFaultState.filter_arrivals``, which hands
+over every due flit at the front of the deque.  Entries whose flits left
+with an earlier call (the flits queued behind a retried head) find
+nothing due, and ``filter_arrivals`` draws no random number for them, so
+they are harmless no-ops.  Every flit in flight therefore has an entry in
+an unpopped bucket (its own, or the retried head's it queues behind), and
+every entry in an unpopped bucket belongs to a flit still in flight:
+:meth:`DeliverySchedule.pending` is the drain check's "links idle" view.
+
+An entry filed for a cycle whose bucket has already been popped would
+never be delivered and would silently stall the drain.  Filing stays
+unchecked on the hot path; :meth:`DeliverySchedule.pending` and the
+catch-up branch of :meth:`DeliverySchedule.pop_due` raise
+:class:`~repro.errors.SimulationError` for such stranded entries.
 """
 
 from __future__ import annotations
 
-from math import ceil
-from typing import TYPE_CHECKING
+from collections import defaultdict
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.network.links import Link
+from repro.errors import SimulationError
 
 
 class DeliverySchedule:
-    """A per-cycle calendar of wake-up buckets over in-flight links."""
+    """A per-cycle calendar of flit arrivals, one link-id entry per flit."""
 
-    __slots__ = ("_buckets", "_members", "_armed", "_cursor")
+    __slots__ = ("buckets", "_cursor")
 
     def __init__(self) -> None:
-        #: due_cycle -> [(link_id, link), ...] wake-ups, unsorted until
-        #: popped; each bucket is built, popped once, never revisited.
-        self._buckets: dict[int, list[tuple[int, "Link"]]] = {}
-        #: link_id -> link for every link with flits in flight (the drain
-        #: check's membership view, mirroring the ActiveSet contract).
-        self._members: dict[int, "Link"] = {}
-        #: link_id -> due cycle of the link's single *live* filed entry.
-        #: A bucket entry is authoritative only while this matches its
-        #: bucket's due cycle; anything else is a stale leftover (from a
-        #: drain-elsewhere + re-add, or a re-arm that moved the wake-up)
-        #: and is dropped unconsumed when its bucket pops.  Without this,
-        #: a ``discard`` + re-``add`` at the same due cycle leaves two
-        #: entries that *both* validate, delivering the link twice.
-        self._armed: dict[int, int] = {}
-        #: Next cycle whose bucket has not been popped yet.  The engine
-        #: loop advances one cycle at a time, so :meth:`pop_due` normally
-        #: pops exactly one bucket; the cursor makes a hypothetical cycle
-        #: skip drain older buckets instead of stranding them.
+        #: due cycle -> link ids, one per flit arriving in that cycle
+        #: (unsorted until popped).  Links hold a direct reference and
+        #: file into it themselves; only read it with ``get``/``pop`` so
+        #: the default factory never plants empty buckets.
+        self.buckets: defaultdict[int, list[int]] = defaultdict(list)
+        #: Next cycle whose bucket has not been popped yet.
         self._cursor = 0
 
-    # -- registry protocol (Link.push calls add on empty -> nonempty) ----------
+    def pop_due(self, now: int) -> list[int]:
+        """Link ids of every flit due at ``now``, ascending.
 
-    def add(self, link: "Link") -> None:
-        """Arm a wake-up for a link that just went nonempty."""
-        link_id = link.link_id
-        self._members[link_id] = link
-        due = ceil(link._in_flight[0][0])
-        if self._armed.get(link_id) == due:
-            # A live entry for exactly this cycle is already filed (the
-            # link drained through some other path and re-armed before
-            # its bucket popped); filing again would deliver it twice.
-            return
-        self._armed[link_id] = due
-        bucket = self._buckets.get(due)
-        if bucket is None:
-            self._buckets[due] = [(link_id, link)]
-        else:
-            bucket.append((link_id, link))
-
-    def discard(self, link: "Link") -> None:
-        """Deregister a drained link (stale bucket entries prune lazily).
-
-        The armed due-cycle is deliberately *kept*: the physical bucket
-        entry is still filed, and forgetting it would let a re-``add``
-        at the same cycle file a duplicate that also validates.
+        A link with ``k`` flits due appears ``k`` times.  The engine pops
+        each cycle exactly once, in order; a call that skips ahead merges
+        the skipped buckets, and a call for a cycle already popped
+        returns nothing.
         """
-        self._members.pop(link.link_id, None)
-
-    def __contains__(self, link: "Link") -> bool:
-        return link.link_id in self._members
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __bool__(self) -> bool:
-        return bool(self._members)
-
-    # -- deliver-phase driver --------------------------------------------------
-
-    def pop_due(self, now: int) -> list["Link"]:
-        """Links with at least one arrival due at ``now``, id-ascending.
-
-        Re-arms nothing: the caller delivers each link's due arrivals and
-        must call :meth:`rearm` (flits remain) or :meth:`retire` (drained)
-        afterwards.  Entries whose link has no arrival actually due —
-        possible only if an armed link drained through some path other
-        than the deliver phase — are re-armed or dropped here.
-        """
-        cycle = int(now)
         cursor = self._cursor
-        if cycle < cursor:
-            return _NO_LINKS
-        self._cursor = cycle + 1
-        buckets = self._buckets
-        if not buckets:
-            return _NO_LINKS
-        armed = self._armed
-        armed_get = armed.get
-        if cycle == cursor:  # the common case: exactly one bucket to pop
-            raw = buckets.pop(cycle, None)
-            if raw is None:
-                return _NO_LINKS
-            bucket = []
-            filed = bucket.append
-            for entry in raw:
-                if armed_get(entry[0]) == cycle:
-                    filed(entry)
-        else:
-            # Catch-up after a cycle skip: liveness is per-due, so filter
-            # each bucket against its own due cycle before merging.
-            bucket = []
-            filed = bucket.append
-            for due in range(cursor, cycle + 1):
-                entries = buckets.pop(due, None)
-                if entries is None:
-                    continue
-                for entry in entries:
-                    if armed_get(entry[0]) == due:
-                        filed(entry)
-        if not bucket:
-            return _NO_LINKS
-        bucket.sort()
-        due_links: list["Link"] = []
-        members = self._members
-        prev_id = -1
-        for link_id, link in bucket:
-            if link_id == prev_id:
-                # Duplicate live entries at one due can only be identical
-                # tuples (one armed cycle per link); consume just the
-                # first.
-                continue
-            prev_id = link_id
-            del armed[link_id]
-            if link_id not in members:
-                continue
-            in_flight = link._in_flight
-            if not in_flight:
-                del members[link_id]
-                continue
-            if in_flight[0][0] > now:
-                self.rearm(link)
-                continue
-            due_links.append(link)
-        return due_links
+        if now != cursor:
+            return self._catch_up(now)
+        self._cursor = now + 1
+        due = self.buckets.pop(now, None)
+        if due is None:
+            return _NOTHING_DUE
+        if len(due) > 1:
+            due.sort()
+        return due
 
-    def rearm(self, link: "Link") -> None:
-        """Schedule a link's next wake-up after a partial drain."""
-        link_id = link.link_id
-        due = ceil(link._in_flight[0][0])
-        if self._armed.get(link_id) == due:
-            return
-        self._armed[link_id] = due
-        bucket = self._buckets.get(due)
-        if bucket is None:
-            self._buckets[due] = [(link_id, link)]
-        else:
-            bucket.append((link_id, link))
+    def _catch_up(self, now: int) -> list[int]:
+        """Pop every bucket from the cursor through ``now`` (cold path)."""
+        cursor = self._cursor
+        if now < cursor:
+            return _NOTHING_DUE
+        self._cursor = now + 1
+        buckets = self.buckets
+        due: list[int] = []
+        for cycle in range(cursor, now + 1):
+            due.extend(buckets.pop(cycle, ()))
+        self._check_stranded()
+        due.sort()
+        return due
 
-    def retire(self, link: "Link") -> None:
-        """Deregister a link the deliver phase fully drained."""
-        del self._members[link.link_id]
+    def pending(self) -> bool:
+        """Whether any filed flit is still waiting for its cycle.
+
+        Raises :class:`~repro.errors.SimulationError` if an entry was
+        filed for a cycle that has already been popped.
+        """
+        self._check_stranded()
+        return bool(self.buckets)
+
+    def _check_stranded(self) -> None:
+        buckets = self.buckets
+        if buckets:
+            earliest = min(buckets)
+            if earliest < self._cursor:
+                raise SimulationError(
+                    f"{len(buckets[earliest])} flit arrival(s) filed for "
+                    f"cycle {earliest}, which the deliver phase already "
+                    f"passed (next cycle {self._cursor}); a push or "
+                    f"retransmission was timed in the past"
+                )
 
 
 #: Shared empty result for cycles with nothing due (the common case).
-_NO_LINKS: list["Link"] = []
+_NOTHING_DUE: list[int] = []

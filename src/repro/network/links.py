@@ -19,16 +19,12 @@ the ``Lu`` numerator of paper Eq. 10.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from collections.abc import Callable
-from typing import TYPE_CHECKING
+from math import ceil
 
 from repro.errors import ConfigError, LinkStateError
 from repro.network.flit import Flit
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.engine.active import ActiveSet
-    from repro.engine.schedule import DeliverySchedule
 
 #: Link roles within the clustered system (used for reporting and for the
 #: power manager to pick Bu sources).
@@ -64,7 +60,7 @@ class Link:
         "busy_accum",
         "pressure_accum",
         "flits_carried",
-        "registry",
+        "calendar",
         "failed",
         "faults",
     )
@@ -100,14 +96,13 @@ class Link:
         #: Incremented by the router/node feeding the link.
         self.pressure_accum = 0.0
         self.flits_carried = 0
-        #: Delivery registry assigned by the simulator: a link registers
-        #: itself when its pipeline goes from empty to non-empty, so the
-        #: deliver phase visits only links with flits in flight.  A
-        #: :class:`~repro.engine.schedule.DeliverySchedule` (fault-free
-        #: runs, armed by arrival time) or an
-        #: :class:`~repro.engine.active.ActiveSet` (fault runs, scanned);
-        #: ``None`` outside a simulator.
-        self.registry: DeliverySchedule | ActiveSet[Link] | None = None
+        #: The bucket dict of the simulator's
+        #: :class:`~repro.engine.schedule.DeliverySchedule` (due cycle ->
+        #: link ids): every push files this link's id under
+        #: ``ceil(arrival)``, so the deliver phase visits a link exactly
+        #: in the cycles a flit of it arrives.  ``None`` outside an
+        #: event-driven simulator (the ``step_all`` loop scans every link).
+        self.calendar: defaultdict[int, list[int]] | None = None
         #: Hard-failure flag set by the reliability manager.  Routing
         #: refuses to send *new* packets over a failed link; flits already
         #: committed (wormhole worms in progress) drain normally — the
@@ -121,7 +116,7 @@ class Link:
     def reset(self) -> None:
         """Restore construction-time transport state for a warm rerun.
 
-        ``deliver`` (the wiring) is structural and survives; ``registry``
+        ``deliver`` (the wiring) is structural and survives; ``calendar``
         is reassigned by the simulator's run-state init, so clearing it
         here just drops the previous run's engine object.
         """
@@ -132,7 +127,7 @@ class Link:
         self.busy_accum = 0.0
         self.pressure_accum = 0.0
         self.flits_carried = 0
-        self.registry = None
+        self.calendar = None
         self.failed = False
         self.faults = None
 
@@ -170,13 +165,11 @@ class Link:
         self.free_at = now + service_time
         self.busy_accum += service_time
         self.flits_carried += 1
-        in_flight = self._in_flight
-        was_empty = not in_flight
-        in_flight.append((self.free_at + self.propagation_cycles, flit))
-        # Register after appending: a DeliverySchedule registry reads the
-        # new arrival time to arm the link's delivery wake-up.
-        if was_empty and self.registry is not None:
-            self.registry.add(self)
+        arrival = self.free_at + self.propagation_cycles
+        self._in_flight.append((arrival, flit))
+        calendar = self.calendar
+        if calendar is not None:
+            calendar[ceil(arrival)].append(self.link_id)
 
     def pop_arrivals(self, now: float) -> list[Flit]:
         """Remove and return every flit whose arrival time has passed.

@@ -23,6 +23,7 @@ so slow or disabled links exert backpressure exactly as in the paper.
 
 from __future__ import annotations
 
+from math import ceil
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError, SimulationError
@@ -657,11 +658,11 @@ class Router:
         link.free_at = now + service_time
         link.busy_accum += service_time
         link.flits_carried += 1
-        in_flight = link._in_flight
-        was_empty = not in_flight
-        in_flight.append((link.free_at + link.propagation_cycles, flit))
-        if was_empty and link.registry is not None:
-            link.registry.add(link)
+        arrival = link.free_at + link.propagation_cycles
+        link._in_flight.append((arrival, flit))
+        calendar = link.calendar
+        if calendar is not None:
+            calendar[ceil(arrival)].append(link.link_id)
         if flit.is_tail:
             op.vc_owner[vc.out_vc] = None
             vc.route_out = -1

@@ -16,9 +16,11 @@ fixed phase order chosen so every component sees a consistent picture:
    laser epochs, power sampling and the stall watchdog.
 
 The engine makes each phase cost O(active components), not O(network):
-links, routers and nodes register into :class:`~repro.engine.active.ActiveSet`
-registries while they hold work and are skipped otherwise, and the power
-manager's periodic work is event-scheduled on an
+every flit pushed onto a link is filed in a per-cycle arrival calendar
+(:class:`~repro.engine.schedule.DeliverySchedule`), routers and nodes
+register into :class:`~repro.engine.active.ActiveSet` registries while
+they hold work and are skipped otherwise, and the power manager's
+periodic work is event-scheduled on an
 :class:`~repro.engine.wheel.EventWheel` instead of being polled with
 modulo checks every cycle.  Construct with ``step_all=True`` to force the
 legacy step-everything/poll-everything behaviour — runs are bit-identical
@@ -30,13 +32,12 @@ Observers (profilers, watchdogs, metrics samplers) attach through
 
 Determinism: given identical configs and seeds, runs are bit-identical —
 there is no wall-clock or unordered-set iteration in any decision path
-(active sets are iterated via sorted snapshots, and same-cycle events fire
-in a fixed priority order).
+(active sets are iterated via sorted snapshots, calendar buckets are
+sorted by link id, and same-cycle events fire in a fixed priority order).
 """
 
 from __future__ import annotations
 
-from math import ceil
 from typing import TYPE_CHECKING
 
 from repro.config import SimulationConfig
@@ -220,9 +221,10 @@ class Simulator:
         """Per-run engine wiring, shared by ``__init__`` and ``reset``.
 
         Everything here is cheap and rebuilt from scratch each run — a
-        fresh hook registry, event wheel, active-set registries, batch
-        gate, reliability manager and watchdog — so a reset simulator is
-        indistinguishable from a fresh one by construction.
+        fresh hook registry, event wheel, delivery calendar, active-set
+        registries, batch gate, reliability manager and watchdog — so a
+        reset simulator is indistinguishable from a fresh one by
+        construction.
         """
         self.cycle = 0
         self.hooks = HookRegistry()
@@ -257,24 +259,18 @@ class Simulator:
             # Legacy mode: visit every component every cycle and poll for
             # control work.  Kept as the reference for equivalence tests.
             self.wheel = None
-            self._active_links: ActiveSet[Link] | DeliverySchedule | None = \
-                None
+            self._calendar: DeliverySchedule | None = None
             self._active_routers: ActiveSet["Router"] | None = None
             self._active_nodes: ActiveSet[Node] | None = None
             self.batch = None
             return
         self.wheel = EventWheel()
-        if config.faults is None:
-            # Fault-free links never reschedule an in-flight arrival, so
-            # delivery can be event-armed instead of scanned (bit-identical;
-            # see engine/schedule.py).
-            self._active_links = DeliverySchedule()
-        else:
-            self._active_links = ActiveSet(_link_key)
+        self._calendar = DeliverySchedule()
         self._active_routers = ActiveSet(_router_key)
         self._active_nodes = ActiveSet(_node_key)
+        buckets = self._calendar.buckets
         for link in self.network.links:
-            link.registry = self._active_links
+            link.calendar = buckets
         for router in self.network.routers:
             router.registry = self._active_routers
         for node in self.network.nodes:
@@ -326,115 +322,73 @@ class Simulator:
     def _phase_deliver(self, now: int) -> None:
         """Move link arrivals into downstream buffers / node sinks.
 
-        Active mode iterates a sorted snapshot of the active-link set (it
-        is mutated during iteration: links drain, and pushes in phase 2/3
-        re-register for *later* cycles); snapshotting also keeps delivery
-        order identical to the step-everything iteration over all links.
+        Pops this cycle's calendar bucket: one link id per due flit,
+        ascending, so links deliver in id order (the order of the
+        ``step_all`` scan over every link) and each link's flits leave
+        its deque front first.  Fault-injected links hand their due
+        flits to the fault state's filter (CRC trials, retransmission)
+        once per entry; entries that find nothing due are no-ops.
         """
-        active = self._active_links
-        if type(active) is DeliverySchedule:
-            # Event-armed delivery: only links with an arrival actually due
-            # are visited, in ascending link-id order (same order as the
-            # scans below).
-            due = active.pop_due(now)
-            if not due:
-                return
-            delivery_hooks = self.hooks.delivery
-            if not delivery_hooks:
-                # Hot loop: the schedule's rearm/retire bodies are inlined
-                # against its bucket/member dicts (one wake-up per link per
-                # arrival made the method calls a measurable share), and
-                # the per-link scalars — link_id (read up to three times),
-                # the deque's popleft, armed.get — are bound once.
-                buckets = active._buckets
-                members = active._members
-                armed = active._armed
-                armed_get = armed.get
-                for link in due:
-                    in_flight = link._in_flight
-                    deliver = link.deliver
-                    popleft = in_flight.popleft
-                    link_id = link.link_id
-                    while in_flight and in_flight[0][0] <= now:
-                        deliver(popleft()[1], now)
-                    if in_flight:
-                        due_cycle = ceil(in_flight[0][0])
-                        if armed_get(link_id) == due_cycle:
-                            continue
-                        armed[link_id] = due_cycle
-                        bucket = buckets.get(due_cycle)
-                        if bucket is None:
-                            buckets[due_cycle] = [(link_id, link)]
-                        else:
-                            bucket.append((link_id, link))
-                    else:
-                        del members[link_id]
-                return
-            for link in due:
-                in_flight = link._in_flight
-                deliver = link.deliver
-                arrivals = []
-                while in_flight and in_flight[0][0] <= now:
-                    arrivals.append(in_flight.popleft()[1])
-                for flit in arrivals:
-                    deliver(flit, now)
-                for flit in arrivals:
-                    for callback in delivery_hooks:
-                        callback(link, flit, now)
-                if in_flight:
-                    active.rearm(link)
-                else:
-                    active.retire(link)
+        calendar = self._calendar
+        if calendar is None:
+            self._scan_deliver(now)
             return
-        if active is not None:
-            if not active:
-                return
-            links = active.snapshot()
-        else:
-            links = self.network.links
+        due = calendar.pop_due(now)
+        if not due:
+            return
+        links = self.network.links
         delivery_hooks = self.hooks.delivery
-        for link in links:
-            if link.faults is None:
-                # Fast path: peek the arrival deque directly.  At load most
-                # active links have their next arrival in the future, and a
-                # ``pop_arrivals`` call returning an empty list per link per
-                # cycle was a measurable share of the deliver phase.
-                in_flight = link._in_flight
-                if not in_flight:
-                    if active is not None:
-                        active.discard(link)
-                    continue
-                if in_flight[0][0] > now:
-                    continue
-                deliver = link.deliver
-                if delivery_hooks:
-                    arrivals = []
-                    while in_flight and in_flight[0][0] <= now:
-                        arrivals.append(in_flight.popleft()[1])
-                    for flit in arrivals:
-                        deliver(flit, now)
-                    for flit in arrivals:
-                        for callback in delivery_hooks:
-                            callback(link, flit, now)
+        if not delivery_hooks:
+            for link_id in due:
+                link = links[link_id]
+                faults = link.faults
+                if faults is None:
+                    link.deliver(link._in_flight.popleft()[1], now)
                 else:
-                    while in_flight and in_flight[0][0] <= now:
-                        deliver(in_flight.popleft()[1], now)
-                if active is not None and not in_flight:
-                    active.discard(link)
+                    deliver = link.deliver
+                    for flit in faults.filter_arrivals(now):
+                        deliver(flit, now)
+            return
+        # Observed path: hand over all of one link's due flits, then fire
+        # the hooks for them (a link's entries are adjacent after the
+        # sort; ``service_time < 1`` can make it deliver twice a cycle).
+        count = len(due)
+        index = 0
+        while index < count:
+            link_id = due[index]
+            end = index + 1
+            while end < count and due[end] == link_id:
+                end += 1
+            link = links[link_id]
+            if link.faults is None:
+                popleft = link._in_flight.popleft
+                arrivals = []
+                for _ in range(end - index):
+                    arrivals.append(popleft()[1])
+            else:
+                arrivals = link.faults.filter_arrivals(now)
+            index = end
+            deliver = link.deliver
+            for flit in arrivals:
+                deliver(flit, now)
+            for flit in arrivals:
+                for callback in delivery_hooks:
+                    callback(link, flit, now)
+
+    def _scan_deliver(self, now: int) -> None:
+        """The ``step_all`` deliver phase: poll every link's deque front."""
+        delivery_hooks = self.hooks.delivery
+        for link in self.network.links:
+            in_flight = link._in_flight
+            if not in_flight or in_flight[0][0] > now:
                 continue
-            # Fault-injected links delegate to the fault state's arrival
-            # filter (CRC trials, retransmission protocol).
             arrivals = link.pop_arrivals(now)
-            if arrivals:
-                deliver = link.deliver
-                for flit in arrivals:
-                    deliver(flit, now)
-                if delivery_hooks:
-                    for flit in arrivals:
-                        for callback in delivery_hooks:
-                            callback(link, flit, now)
-            if active is not None and not link.has_in_flight:
-                active.discard(link)
+            deliver = link.deliver
+            for flit in arrivals:
+                deliver(flit, now)
+            for flit in arrivals:
+                for callback in delivery_hooks:
+                    callback(link, flit, now)
 
     def _phase_route(self, now: int) -> None:
         """Switch allocation + traversal for every router with work."""
@@ -598,8 +552,8 @@ class Simulator:
         return self._is_drained()
 
     def _is_drained(self) -> bool:
-        if self._active_links is not None:
-            links_idle = not self._active_links
+        if self._calendar is not None:
+            links_idle = not self._calendar.pending()
         else:
             links_idle = not any(
                 link.has_in_flight for link in self.network.links
@@ -636,10 +590,6 @@ class Simulator:
             for key, value in self.reliability.report().as_dict().items():
                 result[f"reliability_{key}"] = value
         return result
-
-
-def _link_key(link: Link) -> int:
-    return link.link_id
 
 
 def _router_key(router: "Router") -> int:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
+from math import ceil
 
 from repro.config import NetworkConfig
 from repro.errors import ConfigError
@@ -104,11 +105,11 @@ class Node:
         link.free_at = now + service_time
         link.busy_accum += service_time
         link.flits_carried += 1
-        in_flight = link._in_flight
-        was_empty = not in_flight
-        in_flight.append((link.free_at + link.propagation_cycles, flit))
-        if was_empty and link.registry is not None:
-            link.registry.add(link)
+        arrival = link.free_at + link.propagation_cycles
+        link._in_flight.append((arrival, flit))
+        calendar = link.calendar
+        if calendar is not None:
+            calendar[ceil(arrival)].append(link.link_id)
         if not queue and self.registry is not None:
             self.registry.discard(self)
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from math import ceil
 from typing import TYPE_CHECKING
 
 from repro.network.flit import Flit
@@ -169,8 +170,13 @@ class LinkFaultState:
         # The retransmission occupies the serialiser again: it shows up in
         # the busy-time (Lu) statistic and blocks new pushes while the old
         # flit is re-sent.
-        link._in_flight[0] = (restart + service + link.propagation_cycles,
-                              flit)
+        arrival = restart + service + link.propagation_cycles
+        link._in_flight[0] = (arrival, flit)
+        calendar = link.calendar
+        if calendar is not None:
+            # Re-file the link for the retransmission's arrival; the
+            # flits queued behind it are handed over with it.
+            calendar[ceil(arrival)].append(link.link_id)
         link.busy_accum += service
         if link.free_at < restart + service:
             link.free_at = restart + service

@@ -137,3 +137,52 @@ class TestTopologyCoverage:
             ),
         }, rule_ids=["HP004"])
         assert rule_ids_of(result) == ["HP004"]
+
+
+class TestStaleHotEntries:
+    """HP005: every HOT_FUNCTIONS entry must name code that exists."""
+
+    def test_deleted_hot_method_is_reported(self, check_tree):
+        result = check_tree({
+            "repro/engine/schedule.py": (
+                "class DeliverySchedule:\n"
+                "    def pending(self):\n"
+                "        return False\n"
+            ),
+        }, rule_ids=["HP005"])
+        assert rule_ids_of(result) == ["HP005"]
+        (finding,) = result.findings
+        assert finding.path == "repro/engine/schedule.py"
+        assert "DeliverySchedule.pop_due" in finding.message
+
+    def test_resolving_entries_pass(self, check_tree):
+        result = check_tree({
+            "repro/engine/schedule.py": (
+                "class DeliverySchedule:\n"
+                "    def pop_due(self, now):\n"
+                "        return []\n"
+            ),
+        }, rule_ids=["HP005"])
+        assert result.ok
+
+    def test_missing_module_needs_map_in_tree(self, check_tree):
+        partial = check_tree({
+            "repro/engine/wheel.py": "class EventWheel:\n    pass\n",
+        }, rule_ids=["HP005"])
+        assert len(partial.findings) == 2  # EventWheel.schedule, .service
+        assert all("repro/engine/wheel.py" in finding.message
+                   for finding in partial.findings)
+        whole = check_tree({
+            "repro/analysis/rules/hotpath.py": "HOT_FUNCTIONS = {}\n",
+        }, rule_ids=["HP005"])
+        missing = [finding for finding in whole.findings
+                   if "not in the tree" in finding.message]
+        assert any("repro/engine/schedule.py" in finding.message
+                   for finding in missing)
+        assert all(finding.path == "repro/analysis/rules/hotpath.py"
+                   for finding in missing)
+
+    def test_the_shipped_map_resolves(self):
+        from repro.analysis.framework import run_check
+
+        assert run_check(rule_ids=["HP005"]).ok

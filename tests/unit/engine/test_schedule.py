@@ -1,178 +1,240 @@
-"""Unit tests for the calendar-bucket delivery schedule.
+"""Unit tests for the per-flit arrival calendar.
 
-Exercised through stub in-flight queues rather than full simulator runs
-(the property suite covers end-to-end equivalence); here the calendar
-semantics are pinned down cycle by cycle: arming, due-bucket pops in link
-id order, lazy pruning of stale entries, and the cursor's catch-up
-behaviour on a skipped cycle.
+The calendar itself is exercised directly (filing, due-bucket pops in
+link-id order, the cursor's catch-up, the stranded-entry guard), and its
+contract with the deliver phase through a small real simulator whose
+links deliver into recorders: every filed flit comes out exactly once,
+at ``ceil(arrival)``, links in ascending id order with FIFO order inside
+each link — including a link fast enough to deliver twice in a cycle,
+and a fault-injected link whose retried head flit is re-filed.
 """
 
-from collections import deque
+from math import ceil
 
+import pytest
+
+from repro.config import NetworkConfig, SimulationConfig
 from repro.engine.schedule import DeliverySchedule
-from repro.network.links import MESH, Link
+from repro.errors import SimulationError
+from repro.network.packet import Packet
+from repro.network.simulator import Simulator
+from repro.photonics.ber import ReceiverNoiseModel
+from repro.photonics.constants import MAX_BIT_RATE
+from repro.reliability.channel import LinkChannelModel
+from repro.reliability.config import FaultConfig
+from repro.reliability.faults import LinkFaultState
+from repro.traffic.base import TrafficSource
 
 
-def make_link(link_id: int, *arrivals: float) -> Link:
-    link = Link(link_id, MESH)
-    link._in_flight = deque((arrival, object()) for arrival in arrivals)
-    return link
+class SilentTraffic(TrafficSource):
+    def generate(self, now):
+        return []
+
+    def exhausted(self, now):
+        return True
 
 
-class TestRegistryProtocol:
-    def test_add_contains_len_bool(self):
-        schedule = DeliverySchedule()
-        assert not schedule and len(schedule) == 0
-        link = make_link(0, 2.0)
-        schedule.add(link)
-        assert link in schedule
-        assert schedule and len(schedule) == 1
+class ScriptedRng:
+    """Returns the scripted draws in order, then the last one forever."""
 
-    def test_discard_removes_membership(self):
-        schedule = DeliverySchedule()
-        link = make_link(0, 2.0)
-        schedule.add(link)
-        schedule.discard(link)
-        assert link not in schedule
-        assert not schedule
-        schedule.discard(link)  # idempotent, like set.discard
+    def __init__(self, *draws: float):
+        self.draws = list(draws)
 
-    def test_retire_after_full_drain(self):
-        schedule = DeliverySchedule()
-        link = make_link(3, 1.0)
-        schedule.add(link)
-        assert schedule.pop_due(1) == [link]
-        link._in_flight.clear()
-        schedule.retire(link)
-        assert link not in schedule
+    def random(self) -> float:
+        if len(self.draws) > 1:
+            return self.draws.pop(0)
+        return self.draws[0]
+
+
+def make_sim() -> Simulator:
+    config = SimulationConfig(
+        network=NetworkConfig(mesh_width=2, mesh_height=2,
+                              nodes_per_cluster=1),
+        power=None,
+    )
+    return Simulator(config, SilentTraffic(4))
+
+
+def record_links(sim: Simulator, log: list) -> None:
+    """Point every link's ``deliver`` at ``log``: (cycle, link id, flit)."""
+    for link in sim.network.links:
+        link.deliver = (lambda link_id: lambda flit, now:
+                        log.append((now, link_id, flit)))(link.link_id)
+
+
+def flits(count: int, packet_id: int = 1):
+    return Packet(packet_id, src=0, dst=1, size=count,
+                  create_time=0).make_flits()
+
+
+def deliver_through(sim: Simulator, last_cycle: int) -> None:
+    for now in range(sim.cycle, last_cycle + 1):
+        sim._phase_deliver(now)
+    sim.cycle = last_cycle + 1
 
 
 class TestCalendarSemantics:
     def test_link_not_due_until_ceil_of_arrival(self):
         schedule = DeliverySchedule()
-        link = make_link(0, 2.4)  # due at ceil(2.4) = 3
-        schedule.add(link)
+        schedule.buckets[3].append(0)  # an arrival at 2.4 files under 3
         assert schedule.pop_due(0) == []
         assert schedule.pop_due(1) == []
         assert schedule.pop_due(2) == []
-        assert schedule.pop_due(3) == [link]
+        assert schedule.pop_due(3) == [0]
 
     def test_same_cycle_pops_come_out_in_link_id_order(self):
         schedule = DeliverySchedule()
-        links = [make_link(link_id, 1.0) for link_id in (7, 2, 5, 0)]
-        for link in links:
-            schedule.add(link)
-        popped = schedule.pop_due(1)
-        assert [link.link_id for link in popped] == [0, 2, 5, 7]
+        for link_id in (7, 2, 5, 2, 0):
+            schedule.buckets[1].append(link_id)
+        assert schedule.pop_due(1) == [0, 2, 2, 5, 7]
 
-    def test_rearm_schedules_the_next_arrival(self):
-        schedule = DeliverySchedule()
-        link = make_link(0, 1.0, 4.5)
-        schedule.add(link)
-        assert schedule.pop_due(1) == [link]
-        link._in_flight.popleft()  # the deliver phase hands over flit 1
-        schedule.rearm(link)
-        assert schedule.pop_due(2) == []
-        assert schedule.pop_due(3) == []
-        assert schedule.pop_due(4) == []
-        assert schedule.pop_due(5) == [link]
-
-    def test_early_armed_link_is_rearmed_not_delivered(self):
-        # An armed link whose head arrival moved later (e.g. the bucket
-        # was armed for an arrival the deliver phase already consumed via
-        # another path) must be re-armed for the true due cycle.
-        schedule = DeliverySchedule()
-        link = make_link(0, 1.0)
-        schedule.add(link)
-        link._in_flight[0] = (3.0, link._in_flight[0][1])
-        assert schedule.pop_due(1) == []
-        assert link in schedule  # still a member, just re-armed
-        assert schedule.pop_due(3) == [link]
-
-    def test_drained_member_is_pruned_lazily(self):
-        schedule = DeliverySchedule()
-        link = make_link(0, 1.0)
-        schedule.add(link)
-        link._in_flight.clear()  # drained through some other path
-        assert schedule.pop_due(1) == []
-        assert link not in schedule
-
-    def test_discarded_link_never_comes_out_of_its_bucket(self):
-        schedule = DeliverySchedule()
-        link = make_link(0, 1.0)
-        schedule.add(link)
-        schedule.discard(link)
-        assert schedule.pop_due(1) == []
+    def test_push_files_one_entry_per_flit(self):
+        sim = make_sim()
+        link = sim.network.links[3]
+        link.propagation_cycles = 0.4
+        first, second = flits(2)
+        link.push(first, 0)  # arrives at 1.4
+        link.push(second, 1)  # arrives at 2.4
+        buckets = sim._calendar.buckets
+        assert dict(buckets) == {2: [3], 3: [3]}
 
 
 class TestCursor:
     def test_skipped_cycles_drain_older_buckets(self):
         schedule = DeliverySchedule()
-        early = make_link(1, 1.0)
-        late = make_link(2, 3.0)
-        schedule.add(early)
-        schedule.add(late)
+        schedule.buckets[3].append(2)
+        schedule.buckets[1].append(1)
         # The caller jumps straight to cycle 3: both buckets must come out
         # (id-ascending), not just cycle 3's.
-        assert schedule.pop_due(3) == [early, late]
+        assert schedule.pop_due(3) == [1, 2]
+        assert not schedule.pending()
 
     def test_already_popped_cycle_returns_nothing(self):
         schedule = DeliverySchedule()
-        link = make_link(0, 1.0)
-        schedule.add(link)
-        assert schedule.pop_due(2) == [link]
+        schedule.buckets[1].append(0)
+        assert schedule.pop_due(2) == [0]
         assert schedule.pop_due(1) == []  # behind the cursor: a no-op
         assert schedule.pop_due(2) == []
 
 
-class TestDuplicateEntries:
-    """The armed-due-cycle protocol: one live entry per link, ever.
+class TestDeliveryContract:
+    def test_each_flit_delivered_once_at_ceil(self):
+        sim = make_sim()
+        log: list = []
+        record_links(sim, log)
+        link = sim.network.links[5]
+        link.propagation_cycles = 0.3
+        train = flits(3)
+        arrivals = []
+        for cycle, flit in enumerate(train):
+            link.push(flit, cycle * 2)
+            arrivals.append(link._in_flight[-1][0])
+        deliver_through(sim, 12)
+        assert log == [(ceil(arrival), 5, flit)
+                       for arrival, flit in zip(arrivals, train)]
+        assert not sim._calendar.pending()
 
-    A ``discard`` + re-``add`` at the same due cycle used to file a
-    second bucket entry; both validated at pop time and the link was
-    delivered twice in one cycle (double-draining its arrivals).
-    """
+    def test_links_ascend_fifo_within_link(self):
+        sim = make_sim()
+        log: list = []
+        record_links(sim, log)
+        links = sim.network.links
+        high, low = links[9], links[2]
+        high.set_service_time(0.5)
+        low.set_service_time(0.5)
+        high_flits, low_flits = flits(2, 1), flits(2, 2)
+        # Filed high-id first, each link twice into the same cycle.
+        high.push(high_flits[0], 0)
+        high.push(high_flits[1], 0.5)
+        low.push(low_flits[0], 0)
+        low.push(low_flits[1], 0.5)
+        deliver_through(sim, 2)
+        assert log == [(2, 2, low_flits[0]), (2, 2, low_flits[1]),
+                       (2, 9, high_flits[0]), (2, 9, high_flits[1])]
 
-    def test_discard_then_readd_same_cycle_delivers_once(self):
+    def test_fast_link_delivers_twice_a_cycle(self):
+        sim = make_sim()
+        log: list = []
+        record_links(sim, log)
+        link = sim.network.links[0]
+        link.set_service_time(0.4)
+        first, second = flits(2)
+        link.push(first, 0)    # arrives at 1.4
+        link.push(second, 0.4)  # arrives at 1.8
+        deliver_through(sim, 1)
+        assert log == []
+        deliver_through(sim, 2)
+        assert log == [(2, 0, first), (2, 0, second)]
+
+    def test_hooks_fire_after_link_delivers(self):
+        sim = make_sim()
+        events: list = []
+        for link in sim.network.links:
+            link.deliver = (lambda link_id: lambda flit, now:
+                            events.append(("deliver", link_id,
+                                           flit.index)))(link.link_id)
+        sim.hooks.add("delivery", lambda link, flit, now: events.append(
+            ("hook", link.link_id, flit.index)))
+        fast, slow = sim.network.links[1], sim.network.links[4]
+        fast.set_service_time(0.5)
+        fast_flits, slow_flit = flits(2, 1), flits(1, 2)[0]
+        fast.push(fast_flits[0], 0)
+        fast.push(fast_flits[1], 0.5)
+        slow.push(slow_flit, 0)
+        deliver_through(sim, 2)
+        assert events == [
+            ("deliver", 1, 0), ("deliver", 1, 1),
+            ("hook", 1, 0), ("hook", 1, 1),
+            ("deliver", 4, 0), ("hook", 4, 0),
+        ]
+
+
+class TestRetransmission:
+    def attach_faults(self, link) -> LinkFaultState:
+        channel = LinkChannelModel(
+            ReceiverNoiseModel(), received_power_w=13e-6, flit_bits=16,
+            max_bit_rate=MAX_BIT_RATE,
+        )
+        config = FaultConfig(ack_timeout_cycles=4, backoff_base_cycles=2,
+                             received_power_w=13e-6)
+        state = LinkFaultState(link, channel, config)
+        link.faults = state
+        return state
+
+    def test_retry_refiles_and_carries_followers(self):
+        sim = make_sim()
+        log: list = []
+        record_links(sim, log)
+        link = sim.network.links[6]
+        state = self.attach_faults(link)
+        state.rng = ScriptedRng(0.0, 0.999999)  # corrupt the head once
+        train = flits(3)
+        for cycle, flit in enumerate(train):
+            link.push(flit, cycle)  # arrivals 2, 3, 4
+        deliver_through(sim, 2)
+        assert state.flits_retransmitted == 1
+        # NACK round trip: 2 + timeout 4 + backoff 2 + service 1 + prop 1.
+        assert link._in_flight[0][0] == 10.0
+        assert 6 in sim._calendar.buckets[10]
+        deliver_through(sim, 9)
+        assert log == []  # the followers' own entries found nothing due
+        deliver_through(sim, 10)
+        assert log == [(10, 6, flit) for flit in train]
+        assert not sim._calendar.pending()
+
+
+class TestStrandedEntries:
+    def test_drain_check_raises_on_stranded_entry(self):
+        sim = make_sim()
+        deliver_through(sim, 5)
+        (flit,) = flits(1)
+        sim.network.links[2].push(flit, 1)  # arrival 3: already popped
+        with pytest.raises(SimulationError, match="already passed"):
+            sim.run_until_drained(10, poll_interval=1)
+
+    def test_catch_up_pop_raises_on_a_stranded_entry(self):
         schedule = DeliverySchedule()
-        link = make_link(0, 2.0)
-        schedule.add(link)
-        schedule.discard(link)  # drained through some other path ...
-        schedule.add(link)      # ... then went nonempty again, same due
-        popped = schedule.pop_due(2)
-        assert popped == [link]
-        assert popped.count(link) == 1
-
-    def test_repeated_readds_file_one_entry(self):
-        schedule = DeliverySchedule()
-        link = make_link(3, 5.0)
-        for _ in range(10):
-            schedule.add(link)
-            schedule.discard(link)
-        schedule.add(link)
-        assert len(schedule._buckets[5]) == 1
-        assert schedule.pop_due(5) == [link]
-
-    def test_rearm_after_stale_add_is_single_delivery(self):
-        # Arm for cycle 2, then the arrival moves later and a rearm files
-        # for cycle 4: only the cycle-4 entry is live.
-        schedule = DeliverySchedule()
-        link = make_link(1, 2.0)
-        schedule.add(link)
-        link._in_flight[0] = (4.0, link._in_flight[0][1])
-        schedule.rearm(link)
-        assert schedule.pop_due(2) == []
-        assert link in schedule  # stale entry dropped, membership intact
-        assert schedule.pop_due(3) == []
-        assert schedule.pop_due(4) == [link]
-
-    def test_catchup_pop_never_duplicates_across_buckets(self):
-        # Entries for the same link at two different dues (one stale, one
-        # live) merged by a cycle-skip catch-up must deliver once.
-        schedule = DeliverySchedule()
-        link = make_link(2, 1.0)
-        schedule.add(link)
-        link._in_flight[0] = (3.0, link._in_flight[0][1])
-        schedule.rearm(link)  # live entry moves to due 3; due 1 is stale
-        popped = schedule.pop_due(4)  # skip straight past both buckets
-        assert popped == [link]
+        assert schedule.pop_due(4) == []
+        schedule.buckets[2].append(0)
+        with pytest.raises(SimulationError, match="cycle 2"):
+            schedule.pop_due(7)

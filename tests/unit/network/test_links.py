@@ -1,5 +1,7 @@
 """Unit tests for the variable-bit-rate link transport."""
 
+from collections import defaultdict
+
 import pytest
 
 from repro.errors import ConfigError, LinkStateError
@@ -117,13 +119,15 @@ class TestCounters:
 
 class TestRegistry:
     def test_registry_tracks_in_flight(self):
-        active: set[Link] = set()
-        link = make_link()
-        link.registry = active
-        (flit,) = make_flits(1)
-        link.push(flit, 0.0)
-        assert link in active
-        # The simulator removes drained links itself; registry only adds.
+        # The delivery registry is the simulator's arrival calendar: every
+        # push files the link's id under ceil(arrival), one per flit.
+        calendar: defaultdict[int, list[int]] = defaultdict(list)
+        link = Link(7, MESH, propagation_cycles=0.5)
+        link.calendar = calendar
+        for now, flit in enumerate(make_flits(2)):
+            link.push(flit, float(now))
+        assert dict(calendar) == {2: [7], 3: [7]}
+        # The deliver phase consumes the entries; the link only files.
         link.pop_arrivals(100.0)
         assert not link.has_in_flight
 
