@@ -20,9 +20,9 @@ from repro.analysis.framework import CheckResult, default_root, run_check
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro check",
-        description=("project-specific static analysis: determinism, "
-                     "unit-consistency, hook-contract, hot-path and "
-                     "stateful-invariant (mirror/reset/cache-key/"
+        description=("project-specific static analysis, 27 rules: "
+                     "determinism, unit-consistency, hook-contract, "
+                     "hot-path and stateful-invariant (reset/cache-key/"
                      "serialization) rules (see docs/static-analysis.md)"),
     )
     parser.add_argument(

@@ -6,7 +6,7 @@ Two extracted models live here:
   fire sites) backing the ``HC`` family;
 * :class:`ClassModelIndex` — per-class attribute dataflow (attributes
   assigned in ``__init__``, reassigned or restored in ``reset()``,
-  mutated elsewhere) backing the ``MC``/``RC`` families.
+  mutated elsewhere) backing the ``RC`` family.
 
 The hook contract has three legs spread over the whole package:
 
@@ -364,7 +364,7 @@ def resolve_callback_arity(model: HookModel, registration: Registration
     return pool[0]
 
 
-# -- class models (stateful-invariant rules: MC/RC) ---------------------------
+# -- class models (stateful-invariant rules: RC) ------------------------------
 
 #: ``self.<attr>.<call>()`` spellings that count as *restoring* the
 #: attribute's state rather than rebinding the name (``reset()`` contract).
@@ -415,10 +415,6 @@ class ClassModel:
     def bound_attrs(self, method: str) -> set[str]:
         """Attrs (re)bound by plain/annotated/``__setattr__`` stores."""
         return {w.attr for w in self.writes.get(method, ()) if w.binds}
-
-    def touched_attrs(self, method: str) -> set[str]:
-        """Attrs written by any store kind (including subscripts)."""
-        return {w.attr for w in self.writes.get(method, ())}
 
     def first_write(self, method: str, attr: str) -> AttrWrite | None:
         for write in self.writes.get(method, ()):

@@ -1,6 +1,6 @@
 """The rule catalogue for ``repro check``.
 
-Nine families, thirty rules (see ``docs/static-analysis.md``):
+Eight families, twenty-seven rules (see ``docs/static-analysis.md``):
 
 =========  ==================================================
 family     invariant
@@ -9,7 +9,6 @@ family     invariant
 ``UN0xx``  unit consistency across the photonics layer
 ``HC0xx``  hook contract between engine and subscribers
 ``HP0xx``  purity of the inlined hot loop
-``MC0xx``  batch-backend mirrors track every scalar mutation
 ``RC0xx``  reset() restores everything __init__ creates
 ``CK0xx``  memo/hash keys cover every behavioral input
 ``SP0xx``  pool-boundary picklability and canonical hashing
@@ -49,11 +48,6 @@ from repro.analysis.rules.hotpath import (
     LoggingInHotPathRule,
     StaleHotEntryRule,
 )
-from repro.analysis.rules.mirrors import (
-    MirrorCoherenceRule,
-    MirrorRebuildRule,
-    MirrorSpecStalenessRule,
-)
 from repro.analysis.rules.resets import (
     ResetCompletenessRule,
     ResetDriftRule,
@@ -90,9 +84,6 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
     ClosureInHotPathRule,
     ComprehensionInHotPathRule,
     StaleHotEntryRule,
-    MirrorCoherenceRule,
-    MirrorRebuildRule,
-    MirrorSpecStalenessRule,
     ResetCompletenessRule,
     ResetDriftRule,
     ResetExemptionStalenessRule,

@@ -1,6 +1,6 @@
 """CK: cache/hash-key coverage rules for memoised construction.
 
-The warm/batched execution stack leans on three content keys:
+The warm execution stack leans on three content keys:
 
 * the per-process operating-point-table memo
   (``core/manager.py::_table_for_config``), keyed by a tuple of

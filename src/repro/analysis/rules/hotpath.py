@@ -43,7 +43,6 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     }),
     "repro/network/router.py": frozenset({
         "Router.step",
-        "Router.step_candidates",
         "Router._forward",
         "Router._route",
         "Router.receive_flit",
@@ -58,12 +57,6 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
     "repro/network/links.py": frozenset({
         "Link.push",
         "Link.reset",
-    }),
-    # The batched numpy gate runs once per simulated cycle; its inner
-    # loops iterate the vectorised candidate set.
-    "repro/network/batch.py": frozenset({
-        "BatchRouteBackend.step",
-        "BatchRouteBackend._step_vector",
     }),
     # Topology route/class relations run once per (router, destination)
     # when route tables build, but they are also the `_route_slow`

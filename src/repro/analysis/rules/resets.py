@@ -37,11 +37,6 @@ from repro.analysis.project import ClassModel, ClassModelIndex, class_models
 #: Every entry needs a justification comment; RC003 flags entries that
 #: stop matching the code.
 RESET_EXEMPT: dict[str, dict[str, frozenset[str]]] = {
-    "repro/network/simulator.py": {
-        # reset() raises for step_all simulators: the flag selects the
-        # legacy polled engine at construction, it is not run state.
-        "Simulator": frozenset({"step_all"}),
-    },
     "repro/network/stats.py": {
         # packet_hooks is an alias the simulator re-points at its own
         # registry list immediately after every reset (see

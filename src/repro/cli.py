@@ -61,11 +61,6 @@ def _add_run_parser(subparsers) -> None:
     parser.add_argument("--min-rate-gbps", type=float, default=5.0)
     parser.add_argument("--cycles", type=int, default=None)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--backend", default="python",
-                        choices=["python", "numpy"],
-                        help="route-phase stepping backend; 'numpy' uses "
-                             "the batched gate (bit-identical results; "
-                             "see docs/performance.md)")
     parser.add_argument("--baseline", action="store_true",
                         help="also run the non-power-aware network and "
                              "print normalised ratios")
@@ -199,12 +194,6 @@ def _add_bench_parser(subparsers) -> None:
     parser.add_argument("--topology", default="mesh", metavar="NAME",
                         help="base topology for the benchmark network "
                              "(default: mesh)")
-    parser.add_argument("--backend", default="python",
-                        choices=["python", "numpy"],
-                        help="route-phase backend for the benchmark runs "
-                             "(default: python; the python run also "
-                             "appends numpy rider points when numpy is "
-                             "importable)")
     parser.add_argument("--sweep", action="store_true",
                         help="also run the sweep-throughput family "
                              "(points/sec, warm vs cold workers)")
@@ -276,11 +265,6 @@ def _command_run(args) -> int:
               "(a single trace file cannot hold two runs)",
               file=sys.stderr)
         return 2
-    if args.backend != "python" and args.baseline:
-        print("error: --backend numpy cannot be combined with --baseline "
-              "(the paired-run harness always uses the python backend)",
-              file=sys.stderr)
-        return 2
     scale = scale_with_topology(get_scale(args.scale), args.topology)
     if args.traffic == "uniform":
         rate = args.rate if args.rate is not None else \
@@ -349,7 +333,6 @@ def _command_run(args) -> int:
             warmup_cycles=scale.warmup_cycles,
             sample_interval=scale.sample_interval,
             faults=faults, validate=args.validate, telemetry=telemetry,
-            backend=args.backend,
         )
         profiler = PhaseProfiler().attach(sim.hooks)
         try:
@@ -367,7 +350,7 @@ def _command_run(args) -> int:
         result = run_simulation(scale, power, factory, label="cli",
                                 seed=args.seed, cycles=args.cycles,
                                 faults=faults, validate=args.validate,
-                                telemetry=telemetry, backend=args.backend)
+                                telemetry=telemetry)
         _print_result(result)
     if args.trace is not None:
         print(f"\ntrace written to {args.trace}")
@@ -569,7 +552,7 @@ def _command_bench(args) -> int:
     else:
         snapshot = perfbench.run_benchmarks(
             quick=args.quick, pr=args.pr, profile=not args.no_profile,
-            topology=args.topology, backend=args.backend)
+            topology=args.topology)
         if args.sweep:
             snapshot.update(perfbench.run_sweep_benchmarks(
                 quick=args.quick, jobs=jobs))

@@ -333,11 +333,6 @@ class SimulationConfig:
     #: (the default) builds no recorder and registers no hooks — the run
     #: is bit-identical to a build without the telemetry subsystem.
     telemetry: TelemetryConfig | None = None
-    #: Route-phase stepping backend: ``"python"`` (the scalar reference)
-    #: or ``"numpy"`` (:class:`repro.network.batch.BatchRouteBackend`,
-    #: bit-identical, faster at load).  Fault-injected or ``step_all``
-    #: runs silently keep the scalar path regardless.
-    backend: str = "python"
 
     def __post_init__(self) -> None:
         if self.warmup_cycles < 0:
@@ -346,10 +341,6 @@ class SimulationConfig:
             raise ConfigError("sample_interval must be >= 1")
         if self.stall_limit_cycles < 0:
             raise ConfigError("stall_limit_cycles must be >= 0")
-        if self.backend not in ("python", "numpy"):
-            raise ConfigError(
-                f"backend must be 'python' or 'numpy', got {self.backend!r}"
-            )
 
     @classmethod
     def baseline(cls, network: NetworkConfig | None = None,

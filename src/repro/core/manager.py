@@ -230,15 +230,10 @@ class NetworkPowerManager:
 
     # -- driving ---------------------------------------------------------------
     #
-    # A manager is driven through exactly one of two mechanisms:
-    #
-    # * :meth:`schedule_events` registers window/epoch/sample wake-ups and
-    #   per-transition completions on an event wheel (the simulator's
-    #   default), so quiet cycles cost nothing;
-    # * :meth:`on_cycle` is the legacy per-cycle poll, kept for manual
-    #   driving (unit tests) and the simulator's ``step_all`` mode.
-    #
-    # Both produce bit-identical behaviour (property-tested).
+    # A manager is driven by an event wheel: :meth:`schedule_events`
+    # registers window/epoch/sample wake-ups, and window evaluations that
+    # start a transition schedule its completions, so quiet cycles cost
+    # nothing.
 
     def schedule_events(self, wheel: EventWheel, *,
                         sample_interval: int | None = None) -> None:
@@ -259,23 +254,6 @@ class NetworkPowerManager:
                 raise ConfigError("sample_interval must be >= 1")
             self._sample_interval = sample_interval
             wheel.schedule(0, self._sample_event, PRI_SAMPLE)
-
-    def on_cycle(self, now: int) -> None:
-        """Advance transitions; run window/epoch logic on boundaries."""
-        if self._transitioning:
-            # Iterate a snapshot sorted by link_id: the determinism contract
-            # forbids unordered-set iteration in any decision path, and the
-            # snapshot also makes the discards below safe.
-            for pal in sorted(self._transitioning,
-                              key=lambda p: p.link.link_id):
-                pal.advance(now)
-                if not pal.engine.in_transition:
-                    self._transitioning.discard(pal)
-        if now > 0 and now % self.window == 0:
-            self._run_window(now)
-        if self.multi_optical and now > 0 and now % self.epoch == 0:
-            for pal in self.links:
-                pal.optical.on_epoch(now)
 
     def _run_window(self, now: int) -> None:
         """Evaluate every link's policy for the window ending at ``now``.
@@ -322,10 +300,9 @@ class NetworkPowerManager:
                     and pal.engine.next_event != math.inf \
                     and pal not in self._transitioning:
                 self._transitioning.add(pal)
-                if wheel is not None:
-                    wheel.schedule(pal.engine.next_event,
-                                   self._make_transition_wake(pal),
-                                   PRI_TRANSITION)
+                wheel.schedule(pal.engine.next_event,
+                               self._make_transition_wake(pal),
+                               PRI_TRANSITION)
         self.link_windows_parked += parked
         self.link_windows_evaluated += len(self.links) - parked
         if hooks is not None and hooks.window:

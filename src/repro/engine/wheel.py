@@ -9,10 +9,9 @@ one integer comparison (``wheel.next_cycle <= now``) instead of a handful
 of modulo checks and set scans.
 
 Ordering is fully deterministic: events firing on the same cycle run in
-``(priority, insertion order)`` — the priorities below reproduce the
-simulator's historical within-cycle phase-5 order (transition completions,
-then window policy, then laser epochs, then power sampling, then the stall
-watchdog), so an event-driven run is bit-identical to a polled one.
+``(priority, insertion order)``.  The priorities below fix the control
+phase's within-cycle order: transition completions, then window policy,
+then laser epochs, then power sampling, then the stall watchdog.
 
 Callbacks receive the current cycle: ``callback(now)``.  Recurring timers
 reschedule themselves from inside their callback; an event scheduled at or

@@ -51,8 +51,7 @@ def build_simulator(network: NetworkConfig,
                     sample_interval: int,
                     faults: FaultConfig | None = None,
                     validate: bool = False,
-                    telemetry: TelemetryConfig | None = None,
-                    backend: str = "python") -> Simulator:
+                    telemetry: TelemetryConfig | None = None) -> Simulator:
     """Construct a ready-to-run simulator."""
     config = SimulationConfig(
         network=network,
@@ -63,7 +62,6 @@ def build_simulator(network: NetworkConfig,
         faults=faults,
         validate_topology=validate,
         telemetry=telemetry,
-        backend=backend,
     )
     traffic = traffic_factory(network.num_nodes, seed)
     return Simulator(config, traffic)
@@ -103,15 +101,13 @@ def run_simulation(scale: ExperimentScale,
                    drain: bool = False,
                    faults: FaultConfig | None = None,
                    validate: bool = False,
-                   telemetry: TelemetryConfig | None = None,
-                   backend: str = "python") -> RunResult:
+                   telemetry: TelemetryConfig | None = None) -> RunResult:
     """One configured run at an experiment scale."""
     sim = build_simulator(
         scale.network, power, traffic_factory,
         seed=seed, warmup_cycles=scale.warmup_cycles,
         sample_interval=scale.sample_interval,
         faults=faults, validate=validate, telemetry=telemetry,
-        backend=backend,
     )
     budget = cycles if cycles is not None else scale.run_cycles
     try:

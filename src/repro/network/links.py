@@ -100,8 +100,8 @@ class Link:
         #: :class:`~repro.engine.schedule.DeliverySchedule` (due cycle ->
         #: link ids): every push files this link's id under
         #: ``ceil(arrival)``, so the deliver phase visits a link exactly
-        #: in the cycles a flit of it arrives.  ``None`` outside an
-        #: event-driven simulator (the ``step_all`` loop scans every link).
+        #: in the cycles a flit of it arrives.  ``None`` for a standalone
+        #: link outside any simulator (unit tests).
         self.calendar: defaultdict[int, list[int]] | None = None
         #: Hard-failure flag set by the reliability manager.  Routing
         #: refuses to send *new* packets over a failed link; flits already

@@ -169,7 +169,7 @@ class Router:
         "num_vcs", "inputs", "outputs", "head_delay", "topology",
         "_active_mask", "_requests", "_route_table",
         "_vc_classes", "_class_bounds", "_rc_class",
-        "registry", "fault_stats", "batch", "_slot_base",
+        "registry", "fault_stats",
     )
 
     def __init__(self, router_id: int, num_local: int, buffer_depth: int,
@@ -231,16 +231,6 @@ class Router:
         #: Optional shared reliability counter object (assigned by the
         #: reliability manager); ``None`` keeps routing on the fast path.
         self.fault_stats = None
-        #: Optional :class:`repro.network.batch.BatchRouteBackend` this
-        #: router mirrors its per-slot gating state into (``None`` keeps
-        #: every scalar path free of mirror writes).  While attached, the
-        #: route phase must enter through the backend — calling
-        #: :meth:`step` directly is still correct for the router itself
-        #: but would leave the backend's mirrors stale.
-        self.batch = None
-        #: First global slot index of this router's (port, VC) slots in
-        #: the batch backend's struct-of-arrays state.
-        self._slot_base = 0
 
     def attach_output(self, port: int, output: OutputPort) -> None:
         """Wire an output port (done once by the topology builder)."""
@@ -270,11 +260,6 @@ class Router:
         ip.nonempty |= 1 << flit.vc
         ip.occupancy += 1
         self._active_mask |= 1 << port
-        batch = self.batch
-        if batch is not None:
-            batch.occ[self._slot_base + port * self.num_vcs + flit.vc] = 1
-            batch.occupied += 1
-            batch.quiet_until = 0.0
 
     def build_route_table(self) -> None:
         """Resolve the topology's routing relation into lookup tables.
@@ -409,8 +394,6 @@ class Router:
         self._rc_class = 0
         self.registry = None
         self.fault_stats = None
-        self.batch = None
-        self._slot_base = 0
         if self._route_table is not None:
             # Cache hit by construction (the first build populated it);
             # this restores entries a failed link invalidated.
@@ -534,8 +517,6 @@ class Router:
                     if vc_classes is not None:
                         vc.vc_class = self._rc_class
                     vc.eligible_at = now + self.head_delay
-                    if self.batch is not None:
-                        self._mirror_route(i, v, out_idx, vc.eligible_at)
                 pressured |= 1 << out_idx
                 if now < vc.eligible_at:
                     continue
@@ -553,8 +534,6 @@ class Router:
                         continue
                     op.vc_owner[grant] = (i, v)
                     vc.out_vc = grant
-                    if self.batch is not None:
-                        self._mirror_grant(i, v)
                 link = op.link
                 if now < link.disabled_until or now < link.free_at:
                     continue
@@ -584,9 +563,9 @@ class Router:
             return _NO_FORWARDS
         if requests is None:
             # Single granted request: one shared switch-traversal body
-            # (:meth:`_forward`) serves this common case, the contested
-            # loop below and the batch backend — a divergence between an
-            # inlined copy and the method cannot happen by construction.
+            # (:meth:`_forward`) serves this common case and the contested
+            # loop below — a divergence between an inlined copy and the
+            # method cannot happen by construction.
             flit = self._forward(out0, i0, v0, now)
             if not self._active_mask and self.registry is not None:
                 self.registry.discard(self)
@@ -610,24 +589,6 @@ class Router:
         if not self._active_mask and self.registry is not None:
             self.registry.discard(self)
         return forwarded
-
-    def _mirror_route(self, i: int, v: int, out_idx: int,
-                      eligible_at: float) -> None:
-        """Write a just-latched route into the batch backend's mirrors."""
-        batch = self.batch
-        slot = self._slot_base + i * self.num_vcs + v
-        batch.routed[slot] = 1
-        batch.elig[slot] = eligible_at
-        batch.out_link[slot] = self.outputs[out_idx].link.link_id
-        batch.klass[slot] = \
-            self._rc_class if self._vc_classes is not None else 0
-
-    def _mirror_grant(self, i: int, v: int) -> None:
-        """Mirror a downstream-VC claim: mark the slot, debit the band."""
-        batch = self.batch
-        slot = self._slot_base + i * self.num_vcs + v
-        batch.hasoutvc[slot] = 1
-        batch.vcfree[batch.out_link[slot], batch.klass[slot]] -= 1
 
     def _forward(self, out_idx: int, winner_port: int, winner_vc: int,
                  now: float) -> Flit:
@@ -673,130 +634,4 @@ class Router:
             port.nonempty &= ~(1 << winner_vc)
             if not port.nonempty:
                 self._active_mask &= ~(1 << winner_port)
-        batch = self.batch
-        if batch is not None:
-            slot = self._slot_base + winner_port * self.num_vcs + winner_vc
-            batch.occupied -= 1
-            batch.linkfree[link.link_id] = link.free_at
-            if vc.route_out < 0:
-                # Tail forwarded: the route latch cleared and the claimed
-                # downstream VC was released back to its band just above.
-                batch.routed[slot] = 0
-                batch.hasoutvc[slot] = 0
-                batch.vcfree[link.link_id, batch.klass[slot]] += 1
-            else:
-                batch.elig[slot] = vc.eligible_at
-            if not buf._fifo:
-                batch.occ[slot] = 0
         return flit
-
-    def step_candidates(self, now: float, pairs: list[tuple[int, int]],
-                        pre_pressured: int) -> list[tuple[int, Flit]]:
-        """One allocation + traversal cycle over an explicit slot list.
-
-        The batch backend's per-router entry point: behaviourally
-        identical to :meth:`step` restricted to ``pairs``, an ascending
-        (input port, VC) list that must contain every slot holding flits
-        except those the backend proved side-effect-free and blocked this
-        cycle (see :mod:`repro.network.batch` for the droppability
-        argument; equivalence against :meth:`step` is property-tested).
-        ``pre_pressured`` is the bitmask of output ports whose
-        per-cycle pressure the backend already billed from its mirrors;
-        only ports outside it are billed here.
-        """
-        inputs = self.inputs
-        outputs = self.outputs
-        nreq = 0
-        out0 = i0 = v0 = -1
-        requests = None
-        pressured = 0
-        bits = _BITS
-        vc_classes = self._vc_classes
-        for i, v in pairs:
-            vc = inputs[i].vcs[v]
-            out_idx = vc.route_out
-            if out_idx < 0:
-                head = vc.buffer.head()
-                if not head.is_head:
-                    raise SimulationError(
-                        "wormhole invariant broken: body flit at VC head "
-                        "with no latched route"
-                    )
-                out_idx = vc.route_out = self._route(head)
-                if outputs[out_idx] is None:
-                    raise SimulationError(
-                        f"routing chose unattached output {out_idx} "
-                        f"at router {self.router_id}"
-                    )
-                if vc_classes is not None:
-                    vc.vc_class = self._rc_class
-                vc.eligible_at = now + self.head_delay
-                if self.batch is not None:
-                    self._mirror_route(i, v, out_idx, vc.eligible_at)
-            pressured |= 1 << out_idx
-            if now < vc.eligible_at:
-                continue
-            op = outputs[out_idx]
-            if vc.out_vc < 0:
-                if vc_classes is None:
-                    grant = op.free_vc()
-                else:
-                    lo, hi = self._class_bounds[vc.vc_class]
-                    grant = op.free_vc_in(lo, hi)
-                if grant < 0:
-                    continue
-                op.vc_owner[grant] = (i, v)
-                vc.out_vc = grant
-                if self.batch is not None:
-                    self._mirror_grant(i, v)
-            link = op.link
-            if now < link.disabled_until or now < link.free_at:
-                continue
-            credits = op.credits
-            if credits is not None and credits[vc.out_vc].available <= 0:
-                continue
-            if nreq == 0:
-                out0, i0, v0 = out_idx, i, v
-                nreq = 1
-                continue
-            if requests is None:
-                requests = self._requests
-                requests.clear()
-                requests[out0] = [(i0, v0)]
-            reqs = requests.get(out_idx)
-            if reqs is None:
-                requests[out_idx] = [(i, v)]
-            else:
-                reqs.append((i, v))
-        fresh = pressured & ~pre_pressured
-        for out_idx in (bits[fresh] if fresh < _BITS_LIMIT
-                        else _wide_bits(fresh)):
-            outputs[out_idx].link.pressure_accum += 1.0
-
-        if nreq == 0:
-            if not self._active_mask and self.registry is not None:
-                self.registry.discard(self)
-            return _NO_FORWARDS
-        if requests is None:
-            flit = self._forward(out0, i0, v0, now)
-            if not self._active_mask and self.registry is not None:
-                self.registry.discard(self)
-            return [(out0, flit)]
-        forwarded: list[tuple[int, Flit]] = []
-        num_vcs = self.num_vcs
-        for out_idx, reqs in requests.items():
-            if len(reqs) == 1:
-                winner_port, winner_vc = reqs[0]
-            else:
-                encoded = outputs[out_idx].arbiter.grant(
-                    # Contested arbitration, same cold branch as in step.
-                    [p * num_vcs + v for p, v in reqs]  # repro: noqa[HP004] cold branch, see above
-                )
-                winner_port, winner_vc = divmod(encoded, num_vcs)
-            forwarded.append(
-                (out_idx, self._forward(out_idx, winner_port, winner_vc, now))
-            )
-        requests.clear()
-        if not self._active_mask and self.registry is not None:
-            self.registry.discard(self)
-        return forwarded

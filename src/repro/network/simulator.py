@@ -22,9 +22,8 @@ register into :class:`~repro.engine.active.ActiveSet` registries while
 they hold work and are skipped otherwise, and the power manager's
 periodic work is event-scheduled on an
 :class:`~repro.engine.wheel.EventWheel` instead of being polled with
-modulo checks every cycle.  Construct with ``step_all=True`` to force the
-legacy step-everything/poll-everything behaviour — runs are bit-identical
-in either mode (property-tested), only the wall-clock differs.
+modulo checks every cycle.  The engine's behaviour is pinned by the
+committed digest corpus in ``tests/integration/test_golden_corpus.py``.
 
 Observers (profilers, watchdogs, metrics samplers) attach through
 :attr:`Simulator.hooks`, a typed :class:`~repro.engine.hooks.HookRegistry`
@@ -100,8 +99,7 @@ class StallWatchdog:
     Attaches through the engine: a ``delivery`` hook records the last cycle
     any flit moved off a link, and a recurring event-wheel check raises
     :class:`~repro.errors.SimulationError` when packets are in flight but
-    nothing has moved for ``limit`` cycles.  (With ``step_all=True`` the
-    simulator falls back to the equivalent legacy per-cycle poll.)
+    nothing has moved for ``limit`` cycles.
     """
 
     __slots__ = ("sim", "limit", "_last_progress_cycle")
@@ -138,8 +136,7 @@ class StallWatchdog:
 class Simulator:
     """One simulated power-aware (or baseline) networked system."""
 
-    def __init__(self, config: SimulationConfig, traffic: TrafficSource,
-                 *, step_all: bool = False):
+    def __init__(self, config: SimulationConfig, traffic: TrafficSource):
         if traffic.num_nodes != config.network.num_nodes:
             raise ConfigError(
                 f"traffic source built for {traffic.num_nodes} nodes but the "
@@ -168,7 +165,6 @@ class Simulator:
             self.power = NetworkPowerManager(
                 self.network, config.power, config.network
             )
-        self.step_all = step_all
         self._init_run_state(config)
 
     def reset(self, config: SimulationConfig,
@@ -178,17 +174,12 @@ class Simulator:
         The structural parts of ``config`` (the network tree and the
         power ladder/bands geometry) must match the simulator's current
         ones — everything else (seed, policy scalars, transitions,
-        warmup/sampling, faults, telemetry, backend) may change freely.
+        warmup/sampling, faults, telemetry) may change freely.
         The contract is bit-identity with fresh construction
         (hypothesis-tested over every topology, with and without
         faults); the payoff is skipping fabric/route-table/operating-
         point construction for every point after a worker's first.
         """
-        if self.step_all:
-            raise ConfigError(
-                "reset() needs the event-driven engine; step_all "
-                "simulators are the legacy reference and stay cold"
-            )
         if traffic.num_nodes != config.network.num_nodes:
             raise ConfigError(
                 f"traffic source built for {traffic.num_nodes} nodes but the "
@@ -222,7 +213,7 @@ class Simulator:
 
         Everything here is cheap and rebuilt from scratch each run — a
         fresh hook registry, event wheel, delivery calendar, active-set
-        registries, batch gate, reliability manager and watchdog — so a
+        registries, reliability manager and watchdog — so a
         reset simulator is indistinguishable from a fresh one by
         construction.
         """
@@ -236,34 +227,16 @@ class Simulator:
         self._phases = tuple(
             (name, getattr(self, f"_phase_{name}")) for name in PHASES
         )
-        self._phase_fns = tuple(fn for _, fn in self._phases)
-        self._last_delivery_count = 0
-        self._last_delivery_cycle = 0
         self.reliability: "ReliabilityManager | None" = None
         self.telemetry: "TraceRecorder | None" = None
-        step_all = self.step_all
         if config.telemetry is not None:
             # Imported here to break the package cycle (the recorder
             # observes simulator hooks).  Attaching is pure observation:
-            # runs with and without a recorder are bit-identical
-            # (property-tested), in either engine mode.
+            # runs with and without a recorder are bit-identical (pinned
+            # by the golden corpus).
             from repro.telemetry.recorder import TraceRecorder
 
             self.telemetry = TraceRecorder(config.telemetry).attach(self)
-        if step_all:
-            if config.faults is not None:
-                raise ConfigError(
-                    "fault injection needs the event-driven engine for its "
-                    "scheduled scenarios; it cannot run with step_all=True"
-                )
-            # Legacy mode: visit every component every cycle and poll for
-            # control work.  Kept as the reference for equivalence tests.
-            self.wheel = None
-            self._calendar: DeliverySchedule | None = None
-            self._active_routers: ActiveSet["Router"] | None = None
-            self._active_nodes: ActiveSet[Node] | None = None
-            self.batch = None
-            return
         self.wheel = EventWheel()
         self._calendar = DeliverySchedule()
         self._active_routers = ActiveSet(_router_key)
@@ -275,15 +248,6 @@ class Simulator:
             router.registry = self._active_routers
         for node in self.network.nodes:
             node.registry = self._active_nodes
-        self.batch = None
-        if config.backend == "numpy" and config.faults is None:
-            # Fault runs keep the scalar route phase wholesale: reroutes
-            # and retransmissions mutate latched state mid-phase in ways
-            # the vector gate's begin-of-phase snapshot cannot see.
-            from repro.network.batch import BatchRouteBackend
-
-            self.batch = BatchRouteBackend(self.network,
-                                           self._active_routers)
         if self.power is not None:
             self.power.schedule_events(
                 self.wheel, sample_interval=config.sample_interval
@@ -323,17 +287,12 @@ class Simulator:
         """Move link arrivals into downstream buffers / node sinks.
 
         Pops this cycle's calendar bucket: one link id per due flit,
-        ascending, so links deliver in id order (the order of the
-        ``step_all`` scan over every link) and each link's flits leave
-        its deque front first.  Fault-injected links hand their due
+        ascending, so links deliver in id order and each link's flits
+        leave its deque front first.  Fault-injected links hand their due
         flits to the fault state's filter (CRC trials, retransmission)
         once per entry; entries that find nothing due are no-ops.
         """
-        calendar = self._calendar
-        if calendar is None:
-            self._scan_deliver(now)
-            return
-        due = calendar.pop_due(now)
+        due = self._calendar.pop_due(now)
         if not due:
             return
         links = self.network.links
@@ -375,47 +334,19 @@ class Simulator:
                 for callback in delivery_hooks:
                     callback(link, flit, now)
 
-    def _scan_deliver(self, now: int) -> None:
-        """The ``step_all`` deliver phase: poll every link's deque front."""
-        delivery_hooks = self.hooks.delivery
-        for link in self.network.links:
-            in_flight = link._in_flight
-            if not in_flight or in_flight[0][0] > now:
-                continue
-            arrivals = link.pop_arrivals(now)
-            deliver = link.deliver
-            for flit in arrivals:
-                deliver(flit, now)
-            for flit in arrivals:
-                for callback in delivery_hooks:
-                    callback(link, flit, now)
-
     def _phase_route(self, now: int) -> None:
         """Switch allocation + traversal for every router with work."""
-        batch = self.batch
-        if batch is not None:
-            batch.step(now)
-            return
         active = self._active_routers
-        if active is not None:
-            if active:
-                for router in active.snapshot():
-                    router.step(now)
-        else:
-            for router in self.network.routers:
+        if active:
+            for router in active.snapshot():
                 router.step(now)
 
     def _phase_inject(self, now: int) -> None:
         """Source-queue injection for every node with queued flits."""
         active = self._active_nodes
-        if active is not None:
-            if active:
-                for node in active.snapshot():
-                    node.step(now)
-        else:
-            for node in self.network.nodes:
-                if node.queue:
-                    node.step(now)
+        if active:
+            for node in active.snapshot():
+                node.step(now)
 
     def _phase_generate(self, now: int) -> None:
         """Create this cycle's new traffic."""
@@ -426,40 +357,11 @@ class Simulator:
             nodes[packet.src].enqueue_packet(packet)
 
     def _phase_control(self, now: int) -> None:
-        """Run control work due this cycle.
-
-        Active mode services the event wheel (transitions, windows, epochs,
-        samples, watchdog — in that priority order); legacy mode polls with
-        the historical modulo checks.
-        """
+        """Service the event wheel: transitions, windows, epochs, samples
+        and the watchdog due this cycle, in that priority order."""
         wheel = self.wheel
-        if wheel is not None:
-            if wheel.next_cycle <= now:
-                wheel.service(now)
-            return
-        power = self.power
-        if power is not None:
-            power.on_cycle(now)
-            if now % self.config.sample_interval == 0:
-                power.sample_power(now)
-        limit = self.config.stall_limit_cycles
-        if limit and now % WATCHDOG_INTERVAL == 0:
-            self._check_stall(now, limit)
-
-    def _check_stall(self, now: int, limit: int) -> None:
-        """Legacy (polled) stall check, used only with ``step_all=True``."""
-        delivered = self.stats.packets_delivered
-        if delivered != self._last_delivery_count:
-            self._last_delivery_count = delivered
-            self._last_delivery_cycle = now
-        elif self.stats.in_flight > 0 and \
-                now - self._last_delivery_cycle >= limit:
-            raise _stall_error(
-                self,
-                f"no packet delivered for {now - self._last_delivery_cycle} "
-                f"cycles with {self.stats.in_flight} in flight — likely a "
-                f"flow-control bug.{_asleep_note(self)}",
-            )
+        if wheel.next_cycle <= now:
+            wheel.service(now)
 
     # -- driving -----------------------------------------------------------------
 
@@ -478,46 +380,34 @@ class Simulator:
                 step()
             return
         # Uninstrumented fast loop: the route/inject/generate/control phase
-        # bodies are inlined here (loop-invariant bindings hoisted) — keep
-        # them in sync with the ``_phase_*`` methods, which remain the
-        # source of truth for the instrumented :meth:`step` path.
+        # bodies are inlined with their bindings hoisted out of the loop,
+        # because five method calls per cycle cost more than the phases
+        # themselves on a quiet cycle: on an idle 4x4x8 mesh this loop
+        # measured 884-991 ns per cycle against 1040-1851 ns for one
+        # calling the ``_phase_*`` methods (docs/performance.md, "The
+        # specialised run loop").  The methods serve the instrumented
+        # :meth:`step` path; the golden corpus pins both.
         deliver = self._phase_deliver
         active_routers = self._active_routers
         active_nodes = self._active_nodes
-        batch = self.batch
         wheel = self.wheel
-        routers = self.network.routers
         nodes = self.network.nodes
         stats = self.stats
         generate = self.traffic.generate
         for _ in range(cycles):
             now = self.cycle
             deliver(now)
-            if batch is not None:
-                batch.step(now)
-            elif active_routers is not None:
-                if active_routers:
-                    for router in active_routers.snapshot():
-                        router.step(now)
-            else:
-                for router in routers:
+            if active_routers:
+                for router in active_routers.snapshot():
                     router.step(now)
-            if active_nodes is not None:
-                if active_nodes:
-                    for node in active_nodes.snapshot():
-                        node.step(now)
-            else:
-                for node in nodes:
-                    if node.queue:
-                        node.step(now)
+            if active_nodes:
+                for node in active_nodes.snapshot():
+                    node.step(now)
             for packet in generate(now):
                 stats.packet_created(packet, now)
                 nodes[packet.src].enqueue_packet(packet)
-            if wheel is not None:
-                if wheel.next_cycle <= now:
-                    wheel.service(now)
-            else:
-                self._phase_control(now)
+            if wheel.next_cycle <= now:
+                wheel.service(now)
             self.cycle = now + 1
 
     def run_until_drained(self, max_cycles: int,
@@ -552,16 +442,10 @@ class Simulator:
         return self._is_drained()
 
     def _is_drained(self) -> bool:
-        if self._calendar is not None:
-            links_idle = not self._calendar.pending()
-        else:
-            links_idle = not any(
-                link.has_in_flight for link in self.network.links
-            )
         return (
             self.traffic.exhausted(self.cycle)
             and self.stats.in_flight == 0
-            and links_idle
+            and not self._calendar.pending()
             and self.network.total_pending_flits == 0
         )
 

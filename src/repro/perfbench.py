@@ -47,22 +47,20 @@ BENCH_SEED = 3
 SCHEMA_VERSION = 1
 
 
-def bench_config(topology: str = "mesh",
-                 backend: str = "python") -> SimulationConfig:
+def bench_config(topology: str = "mesh") -> SimulationConfig:
     """The benchmark network: 4x4 grid, 4 nodes/cluster, power-aware."""
     network = NetworkConfig(mesh_width=4, mesh_height=4, nodes_per_cluster=4,
                             topology=topology)
     return SimulationConfig(network=network, power=PowerAwareConfig(),
-                            sample_interval=1000, backend=backend)
+                            sample_interval=1000)
 
 
-def make_bench_sim(rate: float, topology: str = "mesh",
-                   backend: str = "python"):
+def make_bench_sim(rate: float, topology: str = "mesh"):
     """Build one benchmark simulator at ``rate`` (fresh every call)."""
     from repro.network.simulator import Simulator
     from repro.traffic.uniform import UniformRandomTraffic
 
-    config = bench_config(topology, backend)
+    config = bench_config(topology)
     traffic = UniformRandomTraffic(config.network.num_nodes, rate,
                                    seed=BENCH_SEED)
     return Simulator(config, traffic)
@@ -122,8 +120,7 @@ def _peak_rss_kb() -> int | None:
 
 
 def _phase_profile(rate: float, cycles: int,
-                   topology: str = "mesh",
-                   backend: str = "python") -> dict[str, float]:
+                   topology: str = "mesh") -> dict[str, float]:
     """Fraction of simulated CPU time per phase (instrumented run).
 
     Uses a separate, shorter run: attaching the profiler switches the step
@@ -132,7 +129,7 @@ def _phase_profile(rate: float, cycles: int,
     """
     from repro.engine import PhaseProfiler
 
-    sim = make_bench_sim(rate, topology, backend)
+    sim = make_bench_sim(rate, topology)
     profiler = PhaseProfiler(clock=time.process_time).attach(sim.hooks)
     sim.run(cycles)
     grand = profiler.total_seconds
@@ -153,7 +150,6 @@ class Datapoint:
     cycles_per_sec_cpu: float
     summary: dict[str, Any]
     phase_profile: dict[str, float] = field(default_factory=dict)
-    backend: str = "python"
     #: Calibration probe taken right beside this datapoint's timed runs,
     #: so :func:`compare` can normalise per point and
     #: :func:`calibration_warnings` can detect intra-session drift.
@@ -168,7 +164,6 @@ class Datapoint:
             "cycles_per_sec_cpu": round(self.cycles_per_sec_cpu, 1),
             "summary": self.summary,
             "phase_profile": self.phase_profile,
-            "backend": self.backend,
             "calibration_ops_per_sec": (
                 round(self.calibration_ops_per_sec, 1)
                 if self.calibration_ops_per_sec else None
@@ -178,21 +173,17 @@ class Datapoint:
 
 def measure_rate(label: str, rate: float, cycles: int,
                  repeats: int = 3, profile: bool = True,
-                 topology: str = "mesh",
-                 backend: str = "python") -> Datapoint:
+                 topology: str = "mesh") -> Datapoint:
     """Benchmark one injection load: best-of CPU time + determinism check.
 
     Raises :class:`~repro.errors.ConfigError` if the repeated runs are not
     bit-identical — a nondeterministic simulator makes every performance
-    number meaningless, so the benchmark refuses to report one.  A
-    non-default ``backend`` additionally runs one reference simulation on
-    the python backend and requires a bit-identical summary — the in-suite
-    cross-backend identity gate.
+    number meaningless, so the benchmark refuses to report one.
     """
     best: float | None = None
     reference: dict[str, Any] | None = None
     for _ in range(repeats):
-        sim = make_bench_sim(rate, topology, backend)
+        sim = make_bench_sim(rate, topology)
         t0 = time.process_time()
         sim.run(cycles)
         elapsed = time.process_time() - t0
@@ -209,15 +200,6 @@ def measure_rate(label: str, rate: float, cycles: int,
     if best is None:  # pragma: no cover - degenerate clock resolution
         raise ConfigError("benchmark run measured zero CPU time")
     assert reference is not None
-    if backend != "python":
-        ref_sim = make_bench_sim(rate, topology, "python")
-        ref_sim.run(cycles)
-        if ref_sim.summary() != reference:
-            raise ConfigError(
-                f"{backend} backend diverged from the python backend at "
-                f"rate {rate} on {topology}: {reference!r} != "
-                f"{ref_sim.summary()!r}"
-            )
     return Datapoint(
         label=label,
         injection_rate=rate,
@@ -225,26 +207,15 @@ def measure_rate(label: str, rate: float, cycles: int,
         repeats=repeats,
         cycles_per_sec_cpu=cycles / best,
         summary=reference,
-        phase_profile=_phase_profile(rate, max(cycles // 4, 500), topology,
-                                     backend)
+        phase_profile=_phase_profile(rate, max(cycles // 4, 500), topology)
         if profile else {},
-        backend=backend,
         calibration_ops_per_sec=calibrate(rounds=3),
     )
 
 
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy present in CI
-        return False
-    return True
-
-
 def run_benchmarks(quick: bool = False, pr: int | None = None,
                    profile: bool = True,
-                   topology: str = "mesh",
-                   backend: str = "python") -> dict[str, Any]:
+                   topology: str = "mesh") -> dict[str, Any]:
     """Run the full trajectory and return the snapshot document.
 
     ``topology`` selects the base substrate.  Non-mesh base runs prefix
@@ -253,46 +224,25 @@ def run_benchmarks(quick: bool = False, pr: int | None = None,
     substrates.  A ``torus_moderate`` datapoint always rides along (unless
     the base already is torus), recording the table-driven torus hot path
     on the same trajectory as the mesh.
-
-    ``backend`` selects the stepping backend for the canonical points;
-    non-python backends prefix every label with the backend name so they
-    never compare against python-backend baselines.  A python-backend run
-    additionally rides ``numpy_moderate``/``numpy_heavy`` points along
-    (when numpy is importable), putting the cross-backend speedup — and,
-    via :func:`measure_rate`'s reference run, the bit-identity gate — on
-    the recorded trajectory.
     """
     cycles = 1500 if quick else 4000
     repeats = 2 if quick else 3
     prefix = "" if topology == "mesh" else f"{topology}_"
-    if backend != "python":
-        prefix = f"{backend}_{prefix}"
     points = [
         measure_rate(f"{prefix}{label}", rate, cycles, repeats,
-                     profile=profile, topology=topology, backend=backend)
+                     profile=profile, topology=topology)
         for label, rate in RATES.items()
     ]
     if topology != "torus":
         points.append(
-            measure_rate(f"{prefix}torus_moderate" if backend != "python"
-                         else "torus_moderate",
-                         RATES["moderate"], cycles,
-                         repeats, profile=profile, topology="torus",
-                         backend=backend)
+            measure_rate("torus_moderate", RATES["moderate"], cycles,
+                         repeats, profile=profile, topology="torus")
         )
-    if backend == "python" and _numpy_available():
-        for label in ("moderate", "heavy"):
-            points.append(
-                measure_rate(f"numpy_{label}", RATES[label], cycles,
-                             repeats, profile=profile, topology=topology,
-                             backend="numpy")
-            )
     return {
         "schema_version": SCHEMA_VERSION,
         "pr": pr,
         "quick": quick,
         "topology": topology,
-        "backend": backend,
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),
@@ -492,7 +442,6 @@ def sweep_snapshot(quick: bool = False, pr: int | None = None,
         "pr": pr,
         "quick": quick,
         "topology": "mesh",
-        "backend": "python",
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "machine": platform.machine(),

@@ -148,15 +148,6 @@ class TestLinkFailure:
 
 
 class TestEngineRequirements:
-    def test_faults_require_event_engine(self):
-        config = SimulationConfig(
-            network=NetworkConfig(mesh_width=2, mesh_height=2,
-                                  nodes_per_cluster=2),
-            power=None, faults=FaultConfig(),
-        )
-        with pytest.raises(ConfigError, match="step_all"):
-            Simulator(config, FiniteUniformSource(8), step_all=True)
-
     def test_validate_topology_flag_runs_clean(self):
         config = SimulationConfig(
             network=NetworkConfig(mesh_width=2, mesh_height=2,

@@ -1,13 +1,12 @@
-"""Property tests: the engine refactor changes wall-clock, never results.
+"""Property tests: caches and process pools change wall-clock, never results.
 
-Two equivalences the refactor is contractually bound to:
-
-* a run on the active-component / event-wheel engine is bit-identical to
-  the same run with ``step_all=True`` (the legacy step-everything /
-  poll-everything reference), across traffic rates, seeds and power
-  configurations;
+* a run billed through the shared operating-point table is bit-identical
+  to one billed through freshly evaluated per-link rows;
 * a sweep dispatched over a process pool is point-for-point identical to
   the same sweep run serially.
+
+Equivalence of the engine with its own earlier behaviour is pinned by the
+digest corpus in ``tests/integration/test_golden_corpus.py``.
 """
 
 from hypothesis import given, settings
@@ -35,102 +34,6 @@ def make_power() -> PowerAwareConfig:
             optical_transition_cycles=300, laser_epoch_cycles=400,
         ),
     )
-
-
-def run_one(rate: float, seed: int, power_aware: bool,
-            step_all: bool, cycles: int):
-    config = SimulationConfig(
-        network=NETWORK,
-        power=make_power() if power_aware else None,
-        sample_interval=50,
-        stall_limit_cycles=50_000,
-    )
-    traffic = UniformRandomTraffic(NETWORK.num_nodes, rate, seed=seed)
-    sim = Simulator(config, traffic, step_all=step_all)
-    sim.run(cycles)
-    summary = sim.summary()
-    series = tuple(sim.power.power_series) if sim.power else ()
-    levels = tuple(sim.power.level_histogram()) if sim.power else ()
-    return summary, series, levels
-
-
-class TestEngineEquivalence:
-    @settings(max_examples=12, deadline=None)
-    @given(
-        rate=st.floats(min_value=0.0, max_value=0.6),
-        seed=st.integers(min_value=0, max_value=2**31),
-        power_aware=st.booleans(),
-    )
-    def test_active_scheduling_matches_step_all(self, rate, seed,
-                                                power_aware):
-        engine = run_one(rate, seed, power_aware, step_all=False, cycles=700)
-        legacy = run_one(rate, seed, power_aware, step_all=True, cycles=700)
-        assert engine == legacy
-
-
-def make_slow_transition_power() -> PowerAwareConfig:
-    """Transitions longer than the policy window, so they overlap windows."""
-    return PowerAwareConfig(
-        policy=PolicyConfig(window_cycles=60, history_windows=1),
-        transitions=TransitionConfig(
-            bit_rate_transition_cycles=20, voltage_transition_cycles=100,
-            optical_transition_cycles=300, laser_epoch_cycles=400,
-        ),
-    )
-
-
-def run_overlapping(rate: float, seed: int, step_all: bool,
-                    cycles: int = 900):
-    """Run with slow transitions; also report the peak number of links
-    simultaneously mid-transition (observed at window boundaries)."""
-    config = SimulationConfig(
-        network=NETWORK,
-        power=make_slow_transition_power(),
-        sample_interval=50,
-        stall_limit_cycles=50_000,
-    )
-    traffic = UniformRandomTraffic(NETWORK.num_nodes, rate, seed=seed)
-    sim = Simulator(config, traffic, step_all=step_all)
-    peak = 0
-
-    def on_window(start, end):
-        nonlocal peak
-        in_flight = sum(
-            1 for pal in sim.power.links if pal.engine.in_transition
-        )
-        peak = max(peak, in_flight)
-
-    sim.hooks.add("window", on_window)
-    sim.run(cycles)
-    results = (
-        sim.summary(),
-        tuple(sim.power.power_series),
-        tuple(sim.power.level_histogram()),
-        sim.power.transition_totals(),
-    )
-    return results, peak
-
-
-class TestMultiLinkSimultaneousTransitions:
-    """Satellite of the set-iteration fix in NetworkPowerManager.on_cycle:
-    the equivalence must hold while *many* links are mid-transition in the
-    same cycle, which is exactly when unordered-set iteration in the legacy
-    poll path could diverge between processes."""
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        rate=st.floats(min_value=0.0, max_value=0.5),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_equivalence_under_simultaneous_transitions(self, rate, seed):
-        engine, engine_peak = run_overlapping(rate, seed, step_all=False)
-        legacy, legacy_peak = run_overlapping(rate, seed, step_all=True)
-        assert engine == legacy
-        assert engine_peak == legacy_peak
-        # The scenario must actually be exercised: window boundaries see
-        # several links mid-transition at once (idle links all step down
-        # together at the first boundary, so this holds at any rate).
-        assert engine_peak >= 2
 
 
 class TestTableDrivenEquivalence:

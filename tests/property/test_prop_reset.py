@@ -5,8 +5,7 @@ The warm-worker machinery's hard contract
 points through ONE reused simulator — resetting between points — must
 produce exactly what N freshly constructed simulators produce.  Summary,
 power series, level histogram, transition totals and the full telemetry
-event stream, over every topology, with and without faults, on both
-stepping backends.
+event stream, over every topology, with and without faults.
 """
 
 import json
@@ -54,8 +53,7 @@ def make_power(window: int = 60) -> PowerAwareConfig:
 
 def make_config(topology: str, seed: int, *, power=None,
                 faults: FaultConfig | None = None,
-                trace_path: str | None = None,
-                backend: str = "python") -> SimulationConfig:
+                trace_path: str | None = None) -> SimulationConfig:
     telemetry = None
     if trace_path is not None:
         telemetry = TelemetryConfig(path=trace_path)
@@ -67,7 +65,6 @@ def make_config(topology: str, seed: int, *, power=None,
         stall_limit_cycles=50_000,
         faults=faults,
         telemetry=telemetry,
-        backend=backend,
     )
 
 
@@ -107,27 +104,19 @@ class TestResetEquivalence:
         rates=st.lists(st.floats(min_value=0.0, max_value=0.4),
                        min_size=2, max_size=4),
         seed=st.integers(min_value=0, max_value=2**31),
-        backend=st.sampled_from(("python", "numpy")),
     )
-    def test_reused_fabric_matches_fresh(self, topology, rates, seed,
-                                         backend):
+    def test_reused_fabric_matches_fresh(self, topology, rates, seed):
         # N points through one reused simulator vs N fresh simulators.
-        if backend == "numpy":
-            import pytest
-
-            pytest.importorskip("numpy")
         fresh = []
         for index, rate in enumerate(rates):
-            config = make_config(topology, seed + index, power=make_power(),
-                                 backend=backend)
+            config = make_config(topology, seed + index, power=make_power())
             traffic = UniformRandomTraffic(config.network.num_nodes, rate,
                                            seed=seed + index)
             fresh.append(collect(Simulator(config, traffic)))
         warm = []
         sim = None
         for index, rate in enumerate(rates):
-            config = make_config(topology, seed + index, power=make_power(),
-                                 backend=backend)
+            config = make_config(topology, seed + index, power=make_power())
             traffic = UniformRandomTraffic(config.network.num_nodes, rate,
                                            seed=seed + index)
             if sim is None:

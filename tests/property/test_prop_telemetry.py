@@ -2,8 +2,8 @@
 
 The trace recorder's contract is that attaching it changes *nothing* about
 a run: same summary, same power series, same level histogram — whatever
-kind subset is enabled, whichever engine mode drives the simulator.  It
-only reads simulation state through hooks, never writes it.
+kind subset is enabled.  It only reads simulation state through hooks,
+never writes it.
 """
 
 from hypothesis import given, settings
@@ -35,7 +35,7 @@ def make_power() -> PowerAwareConfig:
 
 
 def run_one(rate: float, seed: int, *, telemetry: TelemetryConfig | None,
-            step_all: bool = False, cycles: int = 600):
+            cycles: int = 600):
     config = SimulationConfig(
         network=NETWORK,
         power=make_power(),
@@ -45,7 +45,7 @@ def run_one(rate: float, seed: int, *, telemetry: TelemetryConfig | None,
         telemetry=telemetry,
     )
     traffic = UniformRandomTraffic(NETWORK.num_nodes, rate, seed=seed)
-    sim = Simulator(config, traffic, step_all=step_all)
+    sim = Simulator(config, traffic)
     sim.run(cycles)
     results = (
         sim.summary(),
@@ -66,28 +66,15 @@ class TestRecorderIsPureObservation:
         seed=st.integers(min_value=0, max_value=2**31),
         kinds=st.sets(st.sampled_from(ALL_KINDS), min_size=1).map(
             lambda s: tuple(sorted(s))),
-        step_all=st.booleans(),
     )
-    def test_run_with_recorder_is_bit_identical(self, rate, seed, kinds,
-                                                step_all):
-        plain, _ = run_one(rate, seed, telemetry=None, step_all=step_all)
+    def test_run_with_recorder_is_bit_identical(self, rate, seed, kinds):
+        plain, _ = run_one(rate, seed, telemetry=None)
         telemetry = TelemetryConfig(kinds=kinds, buffer_events=256)
-        traced, counts = run_one(rate, seed, telemetry=telemetry,
-                                 step_all=step_all)
+        traced, counts = run_one(rate, seed, telemetry=telemetry)
         assert traced == plain
         assert counts is not None
         # Only enabled kinds may appear in the recorder's counters.
         assert set(counts) <= set(kinds)
-
-    @settings(max_examples=6, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31))
-    def test_engine_and_step_all_record_identical_counts(self, seed):
-        telemetry = TelemetryConfig(buffer_events=64)
-        engine, engine_counts = run_one(0.2, seed, telemetry=telemetry)
-        legacy, legacy_counts = run_one(0.2, seed, telemetry=telemetry,
-                                        step_all=True)
-        assert engine == legacy
-        assert engine_counts == legacy_counts
 
 
 class TestFileSinkEquivalence:

@@ -75,7 +75,8 @@ class TestBasicWrites:
         assert model.bound_attrs("__init__") == {"a", "b"}
         # AugAssign touches but does not (re)bind.
         assert model.bound_attrs("tick") == set()
-        assert model.touched_attrs("tick") == {"a"}
+        assert [(w.attr, w.kind) for w in model.writes["tick"]] == [
+            ("a", "augassign")]
 
     def test_clear_call_is_a_restore(self, model_tree):
         index = model_tree({"repro/a.py": (

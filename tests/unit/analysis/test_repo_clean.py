@@ -13,9 +13,8 @@ from repro.analysis.framework import run_check
 from repro.analysis.rules import all_rules
 from repro.cli import main as repro_main
 
-#: The stateful-invariant families added over the warm/batched engine.
+#: The stateful-invariant families added over the warm engine.
 STATEFUL_FAMILIES = {
-    "MC001", "MC002", "MC003",
     "RC001", "RC002", "RC003",
     "CK001", "CK002", "CK003",
     "SP001", "SP002", "SP003",
@@ -32,7 +31,7 @@ class TestRuleRegistry:
     def test_stateful_invariant_families_are_registered(self):
         ids = {rule.rule_id for rule in all_rules()}
         assert STATEFUL_FAMILIES <= ids
-        assert len(ids) >= 29
+        assert len(ids) >= 27
 
     def test_every_rule_documents_itself(self):
         for rule in all_rules():
@@ -46,7 +45,7 @@ class TestRepositoryIsClean:
         assert result.ok, "\n" + result.format_text()
 
     def test_repository_is_clean_under_stateful_families_alone(self):
-        # The four new families (plus the suppression meta-rule) hold on
+        # The stateful families (plus the suppression meta-rule) hold on
         # their own: no pre-existing violation is being masked by rule
         # ordering or by another family's suppression comment.
         result = run_check(rule_ids=sorted(STATEFUL_FAMILIES))

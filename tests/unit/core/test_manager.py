@@ -16,6 +16,7 @@ from repro.core.manager import (
     power_model_from_config,
 )
 from repro.core.policy import HOLD
+from repro.engine.wheel import EventWheel
 from repro.errors import ConfigError
 from repro.network.packet import Packet
 from repro.network.stats import StatsCollector
@@ -39,6 +40,21 @@ def make_manager(technology=VCSEL, optical_levels=1, window=100,
         ),
     )
     return NetworkPowerManager(topology, power, network), topology
+
+
+def drive(manager, until):
+    """Run the manager's wheel events due before cycle ``until``.
+
+    The first call schedules the manager's periodic work on a fresh
+    :class:`EventWheel`; later calls continue on it.  Each due cycle is
+    serviced at its own ``now``, as the simulator's control phase does.
+    """
+    wheel = manager._wheel
+    if wheel is None:
+        wheel = EventWheel()
+        manager.schedule_events(wheel)
+    while wheel.next_cycle < until:
+        wheel.service(int(wheel.next_cycle))
 
 
 class TestConfigHelpers:
@@ -79,30 +95,26 @@ class TestConstruction:
 class TestDriving:
     def test_idle_network_scales_down_over_windows(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 2000):
-            manager.on_cycle(now)
+        drive(manager, 2000)
         histogram = manager.level_histogram()
         assert histogram[0] == len(manager.links)
 
     def test_power_decreases_from_baseline(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 2000):
-            manager.on_cycle(now)
+        drive(manager, 2000)
         manager.finalize(2000)
         assert manager.relative_power(2000) < 1.0
 
     def test_relative_power_one_when_pinned(self):
         # A manager whose window never fires keeps all links at max.
         manager, _ = make_manager(window=10_000)
-        for now in range(1, 100):
-            manager.on_cycle(now)
+        drive(manager, 100)
         manager.finalize(100)
         assert manager.relative_power(100) == pytest.approx(1.0)
 
     def test_minimum_relative_power_matches_model(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 4000):
-            manager.on_cycle(now)
+        drive(manager, 4000)
         manager.finalize(4000)
         floor = manager.power_model.power(5e9) / manager.power_model.max_power
         # Long idle run converges to the 5 Gb/s floor (plus the descent
@@ -120,8 +132,7 @@ class TestDriving:
 
     def test_transition_totals_accumulate(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 1000):
-            manager.on_cycle(now)
+        drive(manager, 1000)
         totals = manager.transition_totals()
         assert totals["down"] > 0
         assert totals["up"] == 0  # idle network never climbs
@@ -135,8 +146,7 @@ class TestDriving:
 class TestFinalizeIdempotence:
     def test_repeated_finalize_accrues_no_energy(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 2000):
-            manager.on_cycle(now)
+        drive(manager, 2000)
         manager.finalize(2000)
         first = manager.total_energy_watt_cycles()
         manager.finalize(2000)
@@ -146,12 +156,10 @@ class TestFinalizeIdempotence:
 
     def test_later_finalize_extends_the_integral(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 1000):
-            manager.on_cycle(now)
+        drive(manager, 1000)
         manager.finalize(1000)
         first = manager.total_energy_watt_cycles()
-        for now in range(1000, 2000):
-            manager.on_cycle(now)
+        drive(manager, 2000)
         manager.finalize(2000)
         assert manager.total_energy_watt_cycles() > first
 
@@ -168,8 +176,7 @@ class TestFinalizeIdempotence:
         # baseline_power is cached at construction and the energy total at
         # finalize; repeated summary-path queries must not touch the links.
         manager, _ = make_manager(window=50)
-        for now in range(1, 1000):
-            manager.on_cycle(now)
+        drive(manager, 1000)
         manager.finalize(1000)
         expected_energy = manager.total_energy_watt_cycles()
         expected_baseline = manager.baseline_power()
@@ -205,8 +212,7 @@ class TestFinalizeIdempotence:
 class TestReporting:
     def test_link_report_rows(self):
         manager, topology = make_manager(window=50)
-        for now in range(1, 500):
-            manager.on_cycle(now)
+        drive(manager, 500)
         manager.finalize(500)
         rows = manager.link_report(500)
         assert len(rows) == len(topology.links)
@@ -218,8 +224,7 @@ class TestReporting:
 
     def test_energy_by_kind_sums_to_total(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 500):
-            manager.on_cycle(now)
+        drive(manager, 500)
         manager.finalize(500)
         by_kind = manager.energy_by_kind(500)
         assert sum(by_kind.values()) == pytest.approx(
@@ -252,8 +257,7 @@ class TestModelReplacement:
         from repro.photonics.electrical import ElectricalLinkModel
 
         manager, _ = make_manager(window=50)
-        for now in range(1, 200):
-            manager.on_cycle(now)
+        drive(manager, 200)
         manager.finalize(200)
         with pytest.raises(ConfigError):
             manager.replace_power_model(
@@ -271,13 +275,12 @@ class TestModelReplacement:
 
 
 class TestTransitionIterationDeterminism:
-    """Regression: on_cycle used to iterate the ``_transitioning`` set
-    directly.  PowerAwareLink hashes by identity, so the visit order varied
-    between processes — a violation of the determinism contract ("no
-    unordered-set iteration in any decision path").  The fix iterates a
-    snapshot sorted by link_id."""
+    """Transition completions are wheel events; those falling due in the
+    same cycle must fire in link-id order, whatever order the links
+    entered ``_transitioning`` (a set of identity-hashed links, so its
+    iteration order varies between processes)."""
 
-    def test_on_cycle_advances_transitioning_links_in_id_order(
+    def test_same_cycle_transition_wakes_fire_in_link_id_order(
             self, monkeypatch):
         from repro.core.power_link import PowerAwareLink
 
@@ -291,25 +294,22 @@ class TestTransitionIterationDeterminism:
 
         monkeypatch.setattr(PowerAwareLink, "advance", spy)
         # An idle first window makes every link request a down-step at the
-        # same boundary: all of them enter _transitioning together.
-        for now in range(1, 51):
-            manager.on_cycle(now)
+        # same boundary: all of them enter _transitioning together, and
+        # every 2-cycle relock falls due at cycle 52.
+        drive(manager, 51)
         assert len(manager._transitioning) == len(manager.links)
         order.clear()
-        manager.on_cycle(51)
+        drive(manager, 53)
         assert len(order) == len(manager.links)
         assert order == sorted(order)
 
     def test_completed_transitions_discarded_during_iteration(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 51):
-            manager.on_cycle(now)
+        drive(manager, 51)
         assert manager._transitioning
         # The 12-cycle down transitions (2 relock + 10 ramp) all finish
-        # well before the next window; the snapshot iteration must be able
-        # to discard every one of them mid-loop without skipping any.
-        for now in range(51, 70):
-            manager.on_cycle(now)
+        # well before the next window; each wake must discard its link.
+        drive(manager, 70)
         assert not manager._transitioning
         assert all(pal.engine.steps_down == 1 for pal in manager.links)
 
@@ -358,7 +358,7 @@ class TestQuietLinkParking:
             for manager, topology in twins:
                 if stimulus is not None:
                     stimulus(manager, topology, now)
-                manager.on_cycle(now)
+                drive(manager, now + 1)
         (plain, _), (full, _) = twins
         assert _link_states(plain) == _link_states(full)
 
@@ -541,8 +541,7 @@ class TestQuietLinkParking:
 
     def test_power_link_reset_clears_the_stamp(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, self.PARKED_BY + 1):
-            manager.on_cycle(now)
+        drive(manager, self.PARKED_BY + 1)
         pal = manager.links[0]
         assert pal.parked_flits == 0
         pal.reset(manager.config.policy, manager.config.transitions, None)
@@ -552,8 +551,7 @@ class TestQuietLinkParking:
         manager, _ = _full_path_twin(window=50)
         calls = []
         manager.hooks.add("policy", lambda *args: calls.append(args))
-        for now in range(1, 601):
-            manager.on_cycle(now)
+        drive(manager, 601)
         assert manager.link_windows_parked == 0
         assert len(calls) == 12 * len(manager.links)
 
@@ -561,8 +559,7 @@ class TestQuietLinkParking:
 class TestWindowCounters:
     def test_counters_cover_every_link_window(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 1001):
-            manager.on_cycle(now)
+        drive(manager, 1001)
         windows = 1000 // 50
         assert manager.link_windows_parked > 0
         assert manager.link_windows_evaluated > 0
@@ -571,8 +568,7 @@ class TestWindowCounters:
 
     def test_reset_clears_counters(self):
         manager, _ = make_manager(window=50)
-        for now in range(1, 1001):
-            manager.on_cycle(now)
+        drive(manager, 1001)
         manager.reset(manager.config)
         assert manager.link_windows_evaluated == 0
         assert manager.link_windows_parked == 0

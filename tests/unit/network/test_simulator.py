@@ -179,16 +179,6 @@ class TestHooks:
         sim.run(100)
         assert profiler.calls["route"] == 500  # detached: no more timing
 
-    def test_step_all_mode_matches_engine_mode(self, tiny_sim_config):
-        def run(step_all):
-            traffic = UniformRandomTraffic(
-                tiny_sim_config.network.num_nodes, 0.3, seed=9)
-            sim = Simulator(tiny_sim_config, traffic, step_all=step_all)
-            sim.run(1200)
-            return sim.summary(), tuple(sim.power.power_series)
-
-        assert run(False) == run(True)
-
 
 class TestSummary:
     def test_summary_includes_power(self, tiny_sim_config):
@@ -298,30 +288,28 @@ class TestStallDiagnosticsStayLazy:
     """The congestion report (``repro.metrics.inspect``) walks the whole
     network and is only worth building when a stall is actually being
     diagnosed.  Its import must therefore stay out of the watchdog's
-    healthy path: a progressing run — in either engine or step-all mode —
-    must never load the module, while raising the stall error must."""
+    healthy path: a progressing run must never load the module, while
+    raising the stall error must."""
 
-    def _run_progressing(self, tiny_network, step_all):
+    def _run_progressing(self, tiny_network):
         from repro.config import SimulationConfig
 
         config = SimulationConfig(network=tiny_network, power=None,
                                   sample_interval=100,
                                   stall_limit_cycles=256)
         nodes = tiny_network.num_nodes
-        sim = Simulator(config, UniformRandomTraffic(nodes, 0.1, seed=4),
-                        step_all=step_all)
+        sim = Simulator(config, UniformRandomTraffic(nodes, 0.1, seed=4))
         sim.run(2000)
         assert sim.stats.packets_delivered > 0
         return sim
 
-    @pytest.mark.parametrize("step_all", [False, True])
     def test_healthy_watchdog_never_imports_inspect(
-            self, tiny_network, step_all, monkeypatch):
+            self, tiny_network, monkeypatch):
         import sys
 
         monkeypatch.delitem(sys.modules, "repro.metrics.inspect",
                             raising=False)
-        self._run_progressing(tiny_network, step_all)
+        self._run_progressing(tiny_network)
         assert "repro.metrics.inspect" not in sys.modules
 
     def test_stall_error_imports_and_embeds_report(self, tiny_network,
@@ -330,7 +318,7 @@ class TestStallDiagnosticsStayLazy:
 
         from repro.network.simulator import _stall_error
 
-        sim = self._run_progressing(tiny_network, step_all=False)
+        sim = self._run_progressing(tiny_network)
         monkeypatch.delitem(sys.modules, "repro.metrics.inspect",
                             raising=False)
         err = _stall_error(sim, "synthetic stall for the test.")

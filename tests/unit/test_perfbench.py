@@ -146,8 +146,7 @@ class TestCli:
 
         snapshot = fake_snapshot({"light": 100_000.0})
 
-        def fast_run(quick=False, pr=None, profile=True, topology="mesh",
-                     backend="python"):
+        def fast_run(quick=False, pr=None, profile=True, topology="mesh"):
             return dict(snapshot, pr=pr, quick=quick)
 
         monkeypatch.setattr(perfbench, "run_benchmarks", fast_run)
@@ -171,8 +170,7 @@ class TestCli:
 
         monkeypatch.setattr(
             perfbench, "run_benchmarks",
-            lambda quick=False, pr=None, profile=True, topology="mesh",
-            backend="python":
+            lambda quick=False, pr=None, profile=True, topology="mesh":
             dict(fake_snapshot({"light": 1.0}), pr=pr))
         monkeypatch.chdir(tmp_path)
         assert cli.main(["bench", "--quick", "--pr", "9"]) == 0
