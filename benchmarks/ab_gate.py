@@ -1,0 +1,125 @@
+"""Same-machine A/B benchmark gate: this checkout against a base revision.
+
+    python3 benchmarks/ab_gate.py BASE_REV
+
+Run from the root of a git checkout whose history holds ``BASE_REV``.
+The gate checks ``BASE_REV`` out as a temporary git worktree and then
+alternates unmodified simbench runs of base and head
+(``python3 simbench/run.py --workload W --seed S --seconds SECONDS``),
+one pair per workload and seed, the pair's order flipping from seed to
+seed.  It reads each run's last stdout line and fails (exit 1) when, on
+any workload,
+
+- the median of the paired head/base ``cpu_s`` ratios exceeds
+  ``1 + BOUND``;
+- a head run reports ``correct: false``; or
+- a head run reports more failed operations than its base partner.
+
+Both sides of a pair run back to back on the same machine, so host speed
+cancels out of the ratio: there is no calibration score and no committed
+baseline to re-record.  docs/performance.md records how ``BOUND``,
+``SECONDS`` and the pair count were chosen.
+"""
+
+from __future__ import annotations
+
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The workloads ``BENCHMARK.json`` lists.
+WORKLOADS = ("splash_trace", "figure_sweep")
+#: One base/head pair per seed and workload (simbench's held-out seeds).
+SEEDS = (101, 102, 103, 104, 105, 106, 107)
+#: ``--seconds`` of every run: seven to ten repetitions of either workload.
+SECONDS = 10
+#: Largest tolerated median head/base ``cpu_s`` ratio, minus one: above
+#: every median of identical trees measured on a shared 2-CPU host
+#: (highest 1.084), below the 15% slowdown the gate is meant to catch.
+BOUND = 0.10
+
+
+def run_simbench(checkout: Path, workload: str, seed: int) -> dict:
+    """One simbench run in ``checkout``; its result object (last line)."""
+    command = [sys.executable, "simbench/run.py", "--workload", workload,
+               "--seed", str(seed), "--seconds", str(SECONDS)]
+    proc = subprocess.run(command, cwd=checkout, capture_output=True,
+                          text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(
+            f"simbench {workload} seed {seed} in {checkout} exited "
+            f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def cpu_ratio(base: dict, head: dict) -> float:
+    return head["metrics"]["cpu_s"]["value"] / base["metrics"]["cpu_s"]["value"]
+
+
+def median_ratio(pairs: list[tuple[dict, dict]]) -> float:
+    return statistics.median(cpu_ratio(base, head) for base, head in pairs)
+
+
+def verdict(workload: str, pairs: list[tuple[dict, dict]]) -> list[str]:
+    """Why head fails against base on ``workload``; empty when it passes.
+
+    ``pairs`` holds (base, head) result objects, one per seed.
+    """
+    reasons = []
+    median = median_ratio(pairs)
+    if median > 1 + BOUND:
+        reasons.append(f"{workload}: median head/base cpu_s ratio "
+                       f"{median:.3f} exceeds {1 + BOUND:.2f}")
+    for index, (base, head) in enumerate(pairs):
+        if not head["correct"]:
+            reasons.append(f"{workload} pair {index}: head run is not correct")
+        if head["failed"] > base["failed"]:
+            reasons.append(f"{workload} pair {index}: head failed "
+                           f"{head['failed']} operations, base "
+                           f"{base['failed']}")
+    return reasons
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 benchmarks/ab_gate.py BASE_REV", file=sys.stderr)
+        return 2
+    pairs: dict[str, list[tuple[dict, dict]]] = {w: [] for w in WORKLOADS}
+    with tempfile.TemporaryDirectory() as scratch:
+        base_dir = Path(scratch) / "base"
+        subprocess.run(["git", "worktree", "add", "--detach", str(base_dir),
+                        argv[0]], cwd=ROOT, check=True)
+        try:
+            for index, seed in enumerate(SEEDS):
+                for workload in WORKLOADS:
+                    order = [base_dir, ROOT] if index % 2 == 0 else [
+                        ROOT, base_dir]
+                    runs = {checkout: run_simbench(checkout, workload, seed)
+                            for checkout in order}
+                    base, head = runs[base_dir], runs[ROOT]
+                    pairs[workload].append((base, head))
+                    print(f"{workload} seed {seed}: base cpu_s "
+                          f"{base['metrics']['cpu_s']['value']:.3f}, head "
+                          f"{head['metrics']['cpu_s']['value']:.3f}, ratio "
+                          f"{cpu_ratio(base, head):.3f}", flush=True)
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force",
+                            str(base_dir)], cwd=ROOT, check=False)
+    reasons = [reason for workload in WORKLOADS
+               for reason in verdict(workload, pairs[workload])]
+    for workload in WORKLOADS:
+        print(f"{workload}: median head/base cpu_s ratio "
+              f"{median_ratio(pairs[workload]):.3f} (bound {1 + BOUND:.2f})")
+    for reason in reasons:
+        print(f"FAIL {reason}")
+    return 1 if reasons else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

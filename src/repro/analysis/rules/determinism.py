@@ -54,7 +54,6 @@ DATETIME_FNS = frozenset({"now", "today", "utcnow"})
 WALL_CLOCK_ALLOWED = (
     "repro/cli.py",
     "repro/__main__.py",
-    "repro/perfbench.py",
     "repro/experiments/report.py",
 )
 

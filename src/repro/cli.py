@@ -9,13 +9,13 @@ Commands
     Print the link component power budget and the paper cross-check.
 ``trace``
     Synthesise a SPLASH2-like traffic trace to a file.
+``sweep``
+    Run a Fig. 5 or fault-margin sweep through the resilient executor.
+``check``
+    Run the project static-analysis pass (:mod:`repro.analysis`).
 ``report``
     Regenerate EXPERIMENTS.md (delegates to
     :mod:`repro.experiments.report`).
-``bench``
-    Run the persistent performance trajectory and write/compare a
-    ``BENCH_<pr>.json`` snapshot (see :mod:`repro.perfbench` and
-    docs/performance.md).
 """
 
 from __future__ import annotations
@@ -170,47 +170,6 @@ def _add_sweep_parser(subparsers) -> None:
                              "JSONL trace file")
 
 
-def _add_bench_parser(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "bench", help="run the performance benchmark trajectory")
-    parser.add_argument("--quick", action="store_true",
-                        help="shorter runs / fewer repeats (CI gate); "
-                             "calibration-normalised comparison still holds")
-    parser.add_argument("--out", default=None, metavar="OUT.json",
-                        help="write the snapshot to this path "
-                             "(default: BENCH_<pr>.json with --pr, else "
-                             "print only)")
-    parser.add_argument("--pr", type=int, default=None,
-                        help="PR number recorded in the snapshot (and the "
-                             "default output filename)")
-    parser.add_argument("--compare", default=None, metavar="BASELINE.json",
-                        help="compare against a committed snapshot; exits "
-                             "1 on regression beyond --tolerance")
-    parser.add_argument("--tolerance", type=float, default=0.15,
-                        help="allowed normalised throughput drop vs the "
-                             "baseline (default: 0.15)")
-    parser.add_argument("--no-profile", action="store_true",
-                        help="skip the per-phase profile runs")
-    parser.add_argument("--topology", default="mesh", metavar="NAME",
-                        help="base topology for the benchmark network "
-                             "(default: mesh)")
-    parser.add_argument("--sweep", action="store_true",
-                        help="also run the sweep-throughput family "
-                             "(points/sec, warm vs cold workers)")
-    parser.add_argument("--sweep-only", action="store_true",
-                        help="run only the sweep-throughput family "
-                             "(skips the single-run trajectory; the "
-                             "fast CI smoke)")
-    parser.add_argument("--jobs", type=int, nargs="*", default=[2],
-                        metavar="N",
-                        help="worker counts for the parallel warm sweep "
-                             "datapoints (full mode only; default: 2)")
-    parser.add_argument("--sweep-floor", type=float, default=None,
-                        metavar="RATIO",
-                        help="fail unless the short-point serial warm "
-                             "speedup reaches RATIO (e.g. 1.2)")
-
-
 def _add_check_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "check", help="run the project static-analysis pass "
@@ -244,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("table2", help="print the Table 2 power budget")
     _add_trace_parser(subparsers)
     _add_sweep_parser(subparsers)
-    _add_bench_parser(subparsers)
     _add_check_parser(subparsers)
     report = subparsers.add_parser(
         "report", help="regenerate EXPERIMENTS.md (slow)")
@@ -542,58 +500,6 @@ def _command_sweep(args) -> int:
     return 0
 
 
-def _command_bench(args) -> int:
-    from repro import perfbench
-
-    jobs = tuple(args.jobs)
-    if args.sweep_only:
-        snapshot = perfbench.sweep_snapshot(quick=args.quick, pr=args.pr,
-                                            jobs=jobs)
-    else:
-        snapshot = perfbench.run_benchmarks(
-            quick=args.quick, pr=args.pr, profile=not args.no_profile,
-            topology=args.topology)
-        if args.sweep:
-            snapshot.update(perfbench.run_sweep_benchmarks(
-                quick=args.quick, jobs=jobs))
-    print(perfbench.format_snapshot(snapshot))
-    if snapshot.get("sweep_datapoints"):
-        print(perfbench.format_sweeps(snapshot))
-    out = args.out
-    if out is None and args.pr is not None:
-        out = f"BENCH_{args.pr}.json"
-    if out is not None:
-        perfbench.write_snapshot(snapshot, out)
-        print(f"\nsnapshot written to {out}")
-    if args.sweep_floor is not None:
-        short = snapshot.get("sweep_speedups", {}).get("short")
-        if short is None:
-            print("error: --sweep-floor needs the sweep family "
-                  "(pass --sweep or --sweep-only)", file=sys.stderr)
-            return 1
-        if short < args.sweep_floor:
-            print(f"\nSWEEP SPEEDUP BELOW FLOOR: warm short-point sweep "
-                  f"ran at {short:.2f}x cold (floor "
-                  f"{args.sweep_floor:.2f}x)", file=sys.stderr)
-            return 1
-    if args.compare is not None:
-        baseline = perfbench.load_snapshot(args.compare)
-        for warning in perfbench.calibration_warnings(snapshot, baseline):
-            print(f"warning: {warning}", file=sys.stderr)
-        regressions = perfbench.compare(snapshot, baseline,
-                                        tolerance=args.tolerance)
-        regressions += perfbench.compare_sweeps(snapshot, baseline,
-                                                tolerance=args.tolerance)
-        if regressions:
-            print(f"\nREGRESSION vs {args.compare}:", file=sys.stderr)
-            for line in regressions:
-                print(f"  {line}", file=sys.stderr)
-            return 1
-        print(f"\nwithin {args.tolerance:.0%} of {args.compare} "
-              f"(calibration-normalised)")
-    return 0
-
-
 def _command_check(args) -> int:
     from pathlib import Path
 
@@ -616,8 +522,6 @@ def main(argv: list[str] | None = None) -> int:
             return _command_trace(args)
         if args.command == "sweep":
             return _command_sweep(args)
-        if args.command == "bench":
-            return _command_bench(args)
         if args.command == "check":
             return _command_check(args)
         if args.command == "report":

@@ -117,8 +117,12 @@ def point_key(point: "SweepPoint") -> str:
     """The content hash identifying ``point`` in the journal.
 
     Covers every field of the point — config tree, traffic factory,
-    seed, cycle budget, label — so two points collide only when they
-    would provably produce the same :class:`RunResult`.
+    seed, cycle budget, label — so within one build two points collide
+    only when they would produce the same :class:`RunResult`.  The key
+    does not cover the simulator's code: across a commit that changes
+    behaviour, a reused journal serves the old build's result for an
+    equal point.  Folding a behaviour epoch into the key is an open
+    ROADMAP item.
 
     The hash is cached on the point after the first call (the executor
     and the journal both key by it, per attempt and per retry).  A

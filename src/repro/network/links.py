@@ -171,23 +171,6 @@ class Link:
         if calendar is not None:
             calendar[ceil(arrival)].append(self.link_id)
 
-    def pop_arrivals(self, now: float) -> list[Flit]:
-        """Remove and return every flit whose arrival time has passed.
-
-        Arrival times are monotonic (serialisation starts are monotonic and
-        each arrival adds a positive service time), so a deque scan from the
-        front is sufficient.  Under fault injection the pop is delegated to
-        the link's :attr:`faults` state, which subjects each arrival to a
-        CRC-corruption trial and runs the retransmission protocol.
-        """
-        if self.faults is not None:
-            return self.faults.filter_arrivals(now)
-        arrivals: list[Flit] = []
-        in_flight = self._in_flight
-        while in_flight and in_flight[0][0] <= now:
-            arrivals.append(in_flight.popleft()[1])
-        return arrivals
-
     def set_service_time(self, service_time: float) -> None:
         """Retune the serialiser (a bit-rate change)."""
         if service_time <= 0.0:

@@ -122,12 +122,13 @@ class LinkFaultState:
         return self.channel.flit_error_probability(rate, fraction, multiplier)
 
     def filter_arrivals(self, now: float) -> list[Flit]:
-        """The fault-injecting replacement for ``Link.pop_arrivals``.
+        """The deliver phase's hand-over for a fault-injected link.
 
-        Pops due arrivals from the front, subjecting each to a corruption
-        trial.  A corrupted flit is rescheduled in place (still at the
-        front, in-order) and blocks everything behind it until it gets
-        through or exhausts its retry budget.
+        Where a fault-free link gives up one deque front per calendar
+        entry, this pops every due arrival from the front, subjecting each
+        to a corruption trial.  A corrupted flit is rescheduled in place
+        (still at the front, in-order) and blocks everything behind it
+        until it gets through or exhausts its retry budget.
         """
         link = self.link
         arrivals: list[Flit] = []

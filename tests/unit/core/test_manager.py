@@ -1,5 +1,7 @@
 """Unit tests for the network-wide power manager."""
 
+from collections import defaultdict
+
 import pytest
 
 from repro.config import (
@@ -351,6 +353,14 @@ class TestQuietLinkParking:
     def _mesh_link(manager):
         return next(pal for pal in manager.links if pal.link.kind == "mesh")
 
+    @staticmethod
+    def _hand_over(pal, now):
+        """The deliver phase for one link: each flit the link's calendar
+        files under ``now`` moves into its downstream buffer."""
+        link = pal.link
+        for _ in link.calendar.pop(now, ()):
+            pal.downstream_buffer[0].push(link._in_flight.popleft()[1], now)
+
     def _drive(self, twins, start, stop, stimulus=None):
         """Step both managers over [start, stop), applying ``stimulus``
         (manager, topology, now) to each first; assert they agree."""
@@ -364,6 +374,8 @@ class TestQuietLinkParking:
 
     def _parked_twins(self):
         twins = self._twins()
+        for manager, _ in twins:
+            self._mesh_link(manager).link.calendar = defaultdict(list)
         self._drive(twins, 1, self.PARKED_BY + 1)
         plain = twins[0][0]
         assert all(pal.parked_flits == 0 for pal in plain.links)
@@ -415,8 +427,7 @@ class TestQuietLinkParking:
             pal = self._mesh_link(manager)
             if now == 399:
                 pal.link.push(Packet(1, 0, 1, 1, 0).make_flits()[0], now)
-            for flit in pal.link.pop_arrivals(now):
-                pal.downstream_buffer[0].push(flit, now)
+            self._hand_over(pal, now)
             buffer = pal.downstream_buffer[0]
             if now == 410 and not buffer.is_empty:
                 buffer.pop(now)
@@ -442,8 +453,7 @@ class TestQuietLinkParking:
             pal = self._mesh_link(manager)
             if now == 410:
                 pal.link.push(Packet(1, 0, 1, 1, 0).make_flits()[0], now)
-            for flit in pal.link.pop_arrivals(now):
-                pal.downstream_buffer[0].push(flit, now)
+            self._hand_over(pal, now)
             if now == 420:
                 pal.downstream_buffer[0].pop(now)
 
@@ -465,8 +475,7 @@ class TestQuietLinkParking:
             pal = self._mesh_link(manager)
             if now == 351:
                 pal.link.push(Packet(1, 0, 1, 1, 0).make_flits()[0], now)
-            for flit in pal.link.pop_arrivals(now):
-                pal.downstream_buffer[0].push(flit, now)
+            self._hand_over(pal, now)
             if now == 520:
                 pal.downstream_buffer[0].pop(now)
 
@@ -488,8 +497,7 @@ class TestQuietLinkParking:
             pal = self._mesh_link(manager)
             if now == 351:
                 pal.link.push(Packet(1, 0, 1, 1, 0).make_flits()[0], now)
-            for flit in pal.link.pop_arrivals(now):
-                pal.downstream_buffer[0].push(flit, now)
+            self._hand_over(pal, now)
             if now == 470:
                 pal.downstream_buffer[0].pop(now)
 

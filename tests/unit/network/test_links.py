@@ -1,9 +1,8 @@
 """Unit tests for the variable-bit-rate link transport."""
 
-from collections import defaultdict
-
 import pytest
 
+from repro.engine.schedule import DeliverySchedule
 from repro.errors import ConfigError, LinkStateError
 from repro.network.links import INJECTION, MESH, Link
 from repro.network.packet import Packet
@@ -18,23 +17,38 @@ def make_link(service_time=1.0, propagation=1.0) -> Link:
                 service_time=service_time)
 
 
+def scheduled_link(service_time=1.0, propagation=1.0):
+    """A link filing its arrivals in a fresh delivery calendar."""
+    link = make_link(service_time, propagation)
+    schedule = DeliverySchedule()
+    link.calendar = schedule.buckets
+    return link, schedule
+
+
+def deliver(link: Link, schedule: DeliverySchedule, now: int) -> list:
+    """The flits the deliver phase hands over at cycle ``now``: one deque
+    front per calendar entry due by then."""
+    return [link._in_flight.popleft()[1] for _ in schedule.pop_due(now)]
+
+
 class TestSerialisation:
     def test_flit_arrives_after_service_plus_propagation(self):
-        link = make_link(service_time=2.0, propagation=1.0)
+        link, schedule = scheduled_link(service_time=2.0, propagation=1.0)
         (flit,) = make_flits(1)
         link.push(flit, 10.0)
-        assert link.pop_arrivals(12.9) == []
-        assert link.pop_arrivals(13.0) == [flit]
+        assert deliver(link, schedule, 12) == []
+        assert deliver(link, schedule, 13) == [flit]
 
     def test_back_to_back_spacing(self):
-        link = make_link(service_time=2.0, propagation=0.0)
+        link, schedule = scheduled_link(service_time=2.0, propagation=0.0)
         flits = make_flits(2)
         link.push(flits[0], 0.0)
         assert not link.can_accept(1.0)
         assert link.can_accept(2.0)
         link.push(flits[1], 2.0)
-        assert link.pop_arrivals(2.0) == [flits[0]]
-        assert link.pop_arrivals(4.0) == [flits[1]]
+        assert deliver(link, schedule, 2) == [flits[0]]
+        assert deliver(link, schedule, 3) == []
+        assert deliver(link, schedule, 4) == [flits[1]]
 
     def test_push_while_busy_raises(self):
         link = make_link(service_time=2.0)
@@ -44,11 +58,11 @@ class TestSerialisation:
             link.push(flits[1], 1.0)
 
     def test_arrivals_in_order(self):
-        link = make_link(service_time=1.0, propagation=2.0)
+        link, schedule = scheduled_link(service_time=1.0, propagation=2.0)
         flits = make_flits(3)
         for i, flit in enumerate(flits):
             link.push(flit, float(i))
-        assert link.pop_arrivals(100.0) == flits
+        assert deliver(link, schedule, 100) == flits
 
 
 class TestRateChange:
@@ -62,12 +76,12 @@ class TestRateChange:
         assert link.free_at == pytest.approx(3.0)
 
     def test_in_flight_keeps_old_timing(self):
-        link = make_link(service_time=2.0, propagation=1.0)
+        link, schedule = scheduled_link(service_time=2.0, propagation=1.0)
         (flit,) = make_flits(1)
         link.push(flit, 0.0)
         link.set_service_time(1.0)
-        assert link.pop_arrivals(2.9) == []
-        assert link.pop_arrivals(3.0) == [flit]
+        assert deliver(link, schedule, 2) == []
+        assert deliver(link, schedule, 3) == [flit]
 
     def test_invalid_service_time_rejected(self):
         with pytest.raises(ConfigError):
@@ -121,15 +135,16 @@ class TestRegistry:
     def test_registry_tracks_in_flight(self):
         # The delivery registry is the simulator's arrival calendar: every
         # push files the link's id under ceil(arrival), one per flit.
-        calendar: defaultdict[int, list[int]] = defaultdict(list)
+        schedule = DeliverySchedule()
         link = Link(7, MESH, propagation_cycles=0.5)
-        link.calendar = calendar
+        link.calendar = schedule.buckets
         for now, flit in enumerate(make_flits(2)):
             link.push(flit, float(now))
-        assert dict(calendar) == {2: [7], 3: [7]}
+        assert dict(schedule.buckets) == {2: [7], 3: [7]}
         # The deliver phase consumes the entries; the link only files.
-        link.pop_arrivals(100.0)
+        assert len(deliver(link, schedule, 100)) == 2
         assert not link.has_in_flight
+        assert not schedule.pending()
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ConfigError):

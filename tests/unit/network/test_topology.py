@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import NetworkConfig
+from repro.engine.schedule import DeliverySchedule
 from repro.errors import ConfigError
 from repro.network.links import EJECTION, INJECTION, MESH
 from repro.network.packet import Packet
@@ -124,11 +125,14 @@ class TestNodeBehaviour:
 
     def test_packet_flits_share_vc(self, mesh):
         node = mesh.nodes[0]
+        schedule = DeliverySchedule()
+        node.link.calendar = schedule.buckets
         packet = Packet(1, src=0, dst=1, size=2, create_time=0)
         node.enqueue_packet(packet)
         node.step(0.0)
         node.step(1.0)
-        arrivals = node.link.pop_arrivals(100.0)
+        arrivals = [node.link._in_flight.popleft()[1]
+                    for _ in schedule.pop_due(100)]
         assert len(arrivals) == 2
         assert arrivals[0].vc == arrivals[1].vc
 
