@@ -479,8 +479,8 @@ class _ClassModelBuilder(ast.NodeVisitor):
 
         ``beats = self._beats`` followed by ``row = beats[i]`` makes
         both ``beats`` and ``row`` aliases of ``_beats``, so in-place
-        restoration loops (the MatrixArbiter idiom) are attributed to
-        the attribute they mutate.  Resolution is iterated to a fixed
+        restoration loops over a nested table are attributed to the
+        attribute they mutate.  Resolution is iterated to a fixed
         point; shadowing a name with an unrelated value afterwards is
         not modelled (the package's reset bodies never do).
         """

@@ -72,7 +72,6 @@ RESET_EXEMPT: dict[str, dict[str, frozenset[str]]] = {
     "repro/network/arbiters.py": {
         # Arbiter width is geometry.
         "RoundRobinArbiter": frozenset({"size"}),
-        "MatrixArbiter": frozenset({"size"}),
     },
     "repro/network/buffers.py": {
         # Buffer capacity is geometry.

@@ -56,10 +56,6 @@ class NetworkConfig:
     router_frequency_hz: float = ROUTER_FREQUENCY_HZ
     head_pipeline_delay: int = 3
     link_propagation_cycles: float = 1.0
-    routing: str = "xy"
-    #: Switch-allocation arbiter: "round_robin" (default, PopNet-style) or
-    #: "matrix" (least-recently-served) — a design-space knob.
-    arbiter: str = "round_robin"
     #: Network shape: "mesh" (paper default), "torus", "cmesh" or "line"
     #: (see :mod:`repro.network.topologies`).
     topology: str = "mesh"
@@ -84,11 +80,6 @@ class NetworkConfig:
             raise ConfigError("head_pipeline_delay must be >= 0")
         if self.link_propagation_cycles < 0:
             raise ConfigError("link_propagation_cycles must be >= 0")
-        if self.arbiter not in ("round_robin", "matrix"):
-            raise ConfigError(
-                f"arbiter must be 'round_robin' or 'matrix', "
-                f"got {self.arbiter!r}"
-            )
         # Resolve the named topology once: rejects unknown names (listing
         # the known ones) and shape/VC combinations the topology cannot
         # host, at configuration time rather than mid-build.  Imported

@@ -7,7 +7,7 @@ router plus 4 mesh ports), with every link modelled as a variable-bit-rate
 serialiser.
 """
 
-from repro.network.arbiters import MatrixArbiter, RoundRobinArbiter
+from repro.network.arbiters import RoundRobinArbiter
 from repro.network.buffers import CreditCounter, InputBuffer
 from repro.network.flit import Flit
 from repro.network.links import EJECTION, INJECTION, MESH, Link
@@ -20,10 +20,8 @@ from repro.network.routing import (
     OPPOSITE,
     SOUTH,
     WEST,
-    get_routing_function,
     hop_count,
     xy_route,
-    yx_route,
 )
 from repro.network.simulator import Simulator
 from repro.network.stats import StatsCollector
@@ -41,7 +39,6 @@ __all__ = [
     "InputPort",
     "Link",
     "MESH",
-    "MatrixArbiter",
     "NORTH",
     "Node",
     "OPPOSITE",
@@ -53,8 +50,6 @@ __all__ = [
     "Simulator",
     "StatsCollector",
     "WEST",
-    "get_routing_function",
     "hop_count",
     "xy_route",
-    "yx_route",
 ]

@@ -1,15 +1,11 @@
-"""Switch-allocation arbiters.
+"""Switch-allocation arbiter.
 
 Each router output port arbitrates among the input ports requesting it every
-cycle.  Two classic schemes are provided:
+cycle.  :class:`RoundRobinArbiter` is strongly fair, one-hot grant, rotating
+priority (what PopNet-style simulators use for SA).
 
-* :class:`RoundRobinArbiter` — the default; strongly fair, one-hot grant,
-  rotating priority (what PopNet-style simulators use for SA).
-* :class:`MatrixArbiter` — least-recently-served; provided as a design-space
-  extension and exercised by the ablation benchmarks.
-
-Arbiters are tiny pieces of mutable state with a single ``grant`` method so
-they can be unit- and property-tested in isolation.
+The arbiter is a tiny piece of mutable state with a single ``grant`` method
+so it can be unit- and property-tested in isolation.
 """
 
 from __future__ import annotations
@@ -54,56 +50,3 @@ class RoundRobinArbiter:
         self._next = (best + 1) % self.size
         return best
 
-
-class MatrixArbiter:
-    """Least-recently-served arbiter using the classic priority matrix.
-
-    ``_beats[i][j]`` is True when requester ``i`` currently outranks ``j``.
-    The winner is the requester that beats every other requester; after a
-    grant the winner drops below everyone (its row clears, its column sets).
-    """
-
-    __slots__ = ("size", "_beats")
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ConfigError(f"arbiter size must be >= 1, got {size!r}")
-        self.size = size
-        # Initialise with a total order: lower index beats higher index.
-        self._beats = [[i < j for j in range(size)] for i in range(size)]
-
-    def reset(self) -> None:
-        """Restore the construction-time total order (warm rerun)."""
-        beats = self._beats
-        for i in range(self.size):
-            row = beats[i]
-            for j in range(self.size):
-                row[j] = i < j
-
-    def grant(self, requests: Sequence[int]) -> int:
-        """Grant the least-recently-served requester, or -1 if none."""
-        if not requests:
-            return -1
-        active = set()
-        for r in requests:
-            if not 0 <= r < self.size:
-                raise ConfigError(f"request index {r!r} outside [0, {self.size})")
-            active.add(r)
-        # The matrix invariant makes the winner unique, but scan a sorted
-        # view anyway: if the invariant ever breaks, the failure mode is a
-        # deterministic (reproducible) mis-grant rather than a heisenbug.
-        ordered = sorted(active)
-        winner = -1
-        for i in ordered:
-            if all(self._beats[i][j] for j in ordered if j != i):
-                winner = i
-                break
-        if winner < 0:
-            # The matrix invariant guarantees a unique winner among any
-            # subset; reaching here means the matrix was corrupted.
-            raise ConfigError("priority matrix lost its total-order invariant")
-        for j in range(self.size):
-            if j != winner:
-                self._beats[winner][j] = False
-                self._beats[j][winner] = True
-        return winner

@@ -438,10 +438,9 @@ class Router:
     def _route_around(self, dst_router: int) -> int:
         """Fault-aware fallback when the default route's link is dead.
 
-        Walks the topology's fixed detour preference order and takes the
-        first attached, unfailed direction — the same deterministic order
-        :func:`repro.network.routing.fault_aware_route` defines for the
-        mesh, generalised per topology.
+        Walks the topology's fixed detour preference order
+        (:meth:`~repro.network.topologies.base.Topology.fallback_directions`)
+        and takes the first attached, unfailed direction.
 
         On multi-class topologies the deadlock-avoidance class latched by
         :meth:`_route` described the *canonical* direction; a detour can

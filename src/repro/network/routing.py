@@ -1,8 +1,7 @@
-"""Routing algorithms for the clustered 2-D mesh.
+"""Dimension-order routing for the clustered 2-D mesh.
 
-The paper's inter-rack network is a general two-dimensional mesh; we use
-dimension-order (XY) routing as the deadlock-free default, with YX and a
-simple minimal-adaptive variant as design-space extensions.
+The paper's inter-rack network is a general two-dimensional mesh routed
+with dimension-order (XY) routing, which is deadlock-free on a mesh.
 
 Port-numbering convention (shared with :mod:`repro.network.router`): a
 router with ``L`` local ports numbers them ``0 .. L-1`` (injection on the
@@ -11,10 +10,6 @@ directions ``L+EAST``, ``L+WEST``, ``L+NORTH``, ``L+SOUTH``.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
-
-from repro.errors import ConfigError
 
 EAST = 0
 WEST = 1
@@ -27,13 +22,13 @@ DIRECTION_NAMES = ("east", "west", "north", "south")
 #: Opposite of each direction (EAST<->WEST, NORTH<->SOUTH).
 OPPOSITE = (WEST, EAST, SOUTH, NORTH)
 
-#: Signature of a routing function: (src_x, src_y, dst_x, dst_y) -> direction
-#: constant, or -1 when the packet has arrived at its destination router.
-RoutingFunction = Callable[[int, int, int, int], int]
-
 
 def xy_route(src_x: int, src_y: int, dst_x: int, dst_y: int) -> int:
-    """Dimension-order routing: exhaust X hops before any Y hop."""
+    """Dimension-order routing: exhaust X hops before any Y hop.
+
+    Returns a direction constant, or -1 when the packet has arrived at its
+    destination router.
+    """
     if dst_x > src_x:
         return EAST
     if dst_x < src_x:
@@ -43,118 +38,6 @@ def xy_route(src_x: int, src_y: int, dst_x: int, dst_y: int) -> int:
     if dst_y < src_y:
         return NORTH
     return -1
-
-
-def yx_route(src_x: int, src_y: int, dst_x: int, dst_y: int) -> int:
-    """Dimension-order routing, Y first (also deadlock-free on a mesh)."""
-    if dst_y > src_y:
-        return SOUTH
-    if dst_y < src_y:
-        return NORTH
-    if dst_x > src_x:
-        return EAST
-    if dst_x < src_x:
-        return WEST
-    return -1
-
-
-def make_west_first_route() -> RoutingFunction:
-    """West-first turn-model routing (partially adaptive, deadlock-free).
-
-    All westward hops are taken first; once heading east the packet may
-    take X or Y hops in any order.  We implement the deterministic member
-    of the family: prefer the X dimension when both are productive.
-    """
-
-    def west_first(src_x: int, src_y: int, dst_x: int, dst_y: int) -> int:
-        if dst_x < src_x:
-            return WEST
-        if dst_x > src_x:
-            return EAST
-        if dst_y > src_y:
-            return SOUTH
-        if dst_y < src_y:
-            return NORTH
-        return -1
-
-    return west_first
-
-
-#: Perpendicular directions for each direction constant, in the fixed
-#: order fault-aware misrouting tries them.
-_PERPENDICULAR = {
-    EAST: (NORTH, SOUTH),
-    WEST: (NORTH, SOUTH),
-    NORTH: (EAST, WEST),
-    SOUTH: (EAST, WEST),
-}
-
-
-def fault_aware_route(route_fn: RoutingFunction, src_x: int, src_y: int,
-                      dst_x: int, dst_y: int,
-                      alive: Callable[[int], bool]) -> int:
-    """Route around dead links with local knowledge only.
-
-    Falls back from the default routing function in a fixed preference
-    order, so detours are deterministic:
-
-    1. the direction ``route_fn`` picked, if its link is alive;
-    2. the other *productive* direction (one that still reduces the
-       Manhattan distance), if any and alive;
-    3. a perpendicular misroute (detour around the dead row/column) —
-       perpendiculars of the preferred direction first, its opposite as
-       the very last resort (turning straight back tends to bounce).
-
-    ``alive(direction)`` must return False for both failed links and mesh
-    edges (no output attached).  Returns -1 when every direction is dead —
-    the router is disconnected.
-
-    This is *not* provably deadlock- or livelock-free (the turn
-    restrictions of dimension-order routing no longer hold once packets
-    misroute); it is a graceful-degradation heuristic for sparse failures,
-    backstopped by the simulator's stall watchdog.
-    """
-    preferred = route_fn(src_x, src_y, dst_x, dst_y)
-    if preferred >= 0 and alive(preferred):
-        return preferred
-    productive = []
-    if dst_x > src_x:
-        productive.append(EAST)
-    elif dst_x < src_x:
-        productive.append(WEST)
-    if dst_y > src_y:
-        productive.append(SOUTH)
-    elif dst_y < src_y:
-        productive.append(NORTH)
-    for direction in productive:
-        if direction != preferred and alive(direction):
-            return direction
-    if preferred >= 0:
-        fallbacks = _PERPENDICULAR[preferred] + (OPPOSITE[preferred],)
-    else:  # pragma: no cover - defensive: route_fn said "arrived"
-        fallbacks = (EAST, WEST, NORTH, SOUTH)
-    for direction in fallbacks:
-        if direction not in productive and alive(direction):
-            return direction
-    return -1
-
-
-ROUTING_FUNCTIONS: dict[str, RoutingFunction] = {
-    "xy": xy_route,
-    "yx": yx_route,
-    "west_first": make_west_first_route(),
-}
-
-
-def get_routing_function(name: str) -> RoutingFunction:
-    """Look up a routing function by name, raising on unknown names."""
-    try:
-        return ROUTING_FUNCTIONS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown routing algorithm {name!r}; "
-            f"known: {sorted(ROUTING_FUNCTIONS)}"
-        ) from None
 
 
 def hop_count(src_x: int, src_y: int, dst_x: int, dst_y: int) -> int:

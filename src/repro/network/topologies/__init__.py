@@ -50,25 +50,24 @@ def get_topology(config: "NetworkConfig") -> Topology:
             f"(two VC classes); got num_vcs={config.num_vcs}"
         )
     key = (name, config.mesh_width, config.mesh_height,
-           config.nodes_per_cluster, config.concentration, config.routing)
+           config.nodes_per_cluster, config.concentration)
     memo = _TOPOLOGY_MEMO
     cached = memo.get(key)
     if cached is not None:
         return cached
     if name == "mesh":
         topology: Topology = MeshTopology(
-            config.mesh_width, config.mesh_height,
-            config.nodes_per_cluster, config.routing)
+            config.mesh_width, config.mesh_height, config.nodes_per_cluster)
     elif name == "torus":
         topology = TorusTopology(config.mesh_width, config.mesh_height,
-                                 config.nodes_per_cluster, config.routing)
+                                 config.nodes_per_cluster)
     elif name == "cmesh":
         topology = CMeshTopology(config.mesh_width, config.mesh_height,
                                  config.nodes_per_cluster,
-                                 config.concentration, config.routing)
+                                 config.concentration)
     elif name == "line":
         topology = LineTopology(config.mesh_width * config.mesh_height,
-                                config.nodes_per_cluster, config.routing)
+                                config.nodes_per_cluster)
     else:
         raise ConfigError(
             f"unknown topology {name!r}; known: "

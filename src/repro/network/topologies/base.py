@@ -41,8 +41,16 @@ from repro.network.routing import (
     OPPOSITE,
     SOUTH,
     WEST,
-    _PERPENDICULAR,
 )
+
+#: Perpendicular directions for each direction constant, in the fixed
+#: order fault-aware misrouting tries them.
+_PERPENDICULAR = {
+    EAST: (NORTH, SOUTH),
+    WEST: (NORTH, SOUTH),
+    NORTH: (EAST, WEST),
+    SOUTH: (EAST, WEST),
+}
 
 
 class Topology:
@@ -151,11 +159,17 @@ class Topology:
                             dst_router: int) -> tuple[int, ...]:
         """Detour preference order when the routed link is dead.
 
-        Reproduces :func:`repro.network.routing.fault_aware_route`'s
-        fixed order — preferred direction, other productive directions,
-        perpendiculars of the preferred, its opposite last — with the
-        aliveness checks left to the router, which walks this tuple and
-        takes the first attached, unfailed link.
+        A fixed order, so detours are deterministic: the preferred
+        direction, the other productive directions (those that still
+        reduce the remaining distance), perpendiculars of the preferred,
+        and its opposite last (turning straight back tends to bounce).
+        The aliveness checks are left to the router, which walks this
+        tuple and takes the first attached, unfailed link.
+
+        This is *not* provably deadlock- or livelock-free: the turn
+        restrictions of dimension-order routing no longer hold once
+        packets misroute.  It is a graceful-degradation heuristic for
+        sparse failures, backstopped by the simulator's stall watchdog.
         """
         preferred = self.route_direction(router_id, dst_router)
         productive = self._productive_directions(router_id, dst_router)

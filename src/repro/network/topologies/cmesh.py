@@ -27,8 +27,7 @@ class CMeshTopology(MeshTopology):
     name = "cmesh"
 
     def __init__(self, mesh_width: int, mesh_height: int,
-                 nodes_per_cluster: int, concentration: int = 2,
-                 routing: str = "xy"):
+                 nodes_per_cluster: int, concentration: int = 2):
         if concentration < 1:
             raise ConfigError(
                 f"cmesh concentration must be >= 1, got {concentration!r}"
@@ -42,6 +41,5 @@ class CMeshTopology(MeshTopology):
             mesh_width // concentration,
             mesh_height // concentration,
             nodes_per_cluster * concentration * concentration,
-            routing,
         )
         self.concentration = concentration

@@ -2,8 +2,8 @@
 
 :class:`MeshTopology` is the bit-identical extraction of the geometry the
 builder and router used to hard-code: row-major router ids, no wrap
-links, dimension-order (or west-first) routing via the functions in
-:mod:`repro.network.routing`, Manhattan hop counts.  The legacy
+links, dimension-order routing via
+:func:`repro.network.routing.xy_route`, Manhattan hop counts.  The legacy
 closed-form mean hop count is preserved exactly so the analytic latency
 model does not move by a ULP under the refactor.
 
@@ -15,14 +15,7 @@ power-policy experiments where routing is irrelevant).
 
 from __future__ import annotations
 
-from repro.network.routing import (
-    EAST,
-    NORTH,
-    SOUTH,
-    WEST,
-    RoutingFunction,
-    get_routing_function,
-)
+from repro.network.routing import EAST, NORTH, SOUTH, WEST, xy_route
 from repro.network.topologies.base import Topology
 
 
@@ -30,12 +23,6 @@ class MeshTopology(Topology):
     """Row-major 2-D mesh; single VC class (dimension order is acyclic)."""
 
     name = "mesh"
-
-    def __init__(self, grid_width: int, grid_height: int,
-                 nodes_per_router: int, routing: str = "xy"):
-        super().__init__(grid_width, grid_height, nodes_per_router)
-        self.routing = routing
-        self._route_fn: RoutingFunction = get_routing_function(routing)
 
     def neighbor(self, router_id: int, direction: int) -> int | None:
         x, y = self._coords[router_id]
@@ -54,7 +41,7 @@ class MeshTopology(Topology):
     def route_direction(self, router_id: int, dst_router: int) -> int:
         src_x, src_y = self._coords[router_id]
         dst_x, dst_y = self._coords[dst_router]
-        return self._route_fn(src_x, src_y, dst_x, dst_y)
+        return xy_route(src_x, src_y, dst_x, dst_y)
 
     def _productive_directions(self, router_id: int,
                                dst_router: int) -> list[int]:
@@ -89,6 +76,5 @@ class LineTopology(MeshTopology):
 
     name = "line"
 
-    def __init__(self, length: int, nodes_per_router: int,
-                 routing: str = "xy"):
-        super().__init__(length, 1, nodes_per_router, routing)
+    def __init__(self, length: int, nodes_per_router: int):
+        super().__init__(length, 1, nodes_per_router)

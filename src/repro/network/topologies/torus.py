@@ -14,8 +14,8 @@ transition.  The channel-dependence graph is then acyclic:
   to the destination *without* using the wrap edge,
 * class-1 channels chain monotonically toward the wrap edge and hand over
   to class 0 after it — class transitions only go 1 -> 0,
-* dimension order (X rings before Y rings under ``xy``) orders the two
-  ring families.
+* dimension order (X rings before Y rings) orders the two ring
+  families.
 
 Because routing here is deterministic and minimal, "will the remaining
 journey wrap" is a pure function of (current router, destination), so the
@@ -32,7 +32,6 @@ chosen direction never flips mid-journey.
 
 from __future__ import annotations
 
-from repro.errors import ConfigError
 from repro.network.routing import EAST, NORTH, SOUTH, WEST
 from repro.network.topologies.base import Topology
 
@@ -42,17 +41,6 @@ class TorusTopology(Topology):
 
     name = "torus"
     num_vc_classes = 2
-
-    def __init__(self, grid_width: int, grid_height: int,
-                 nodes_per_router: int, routing: str = "xy"):
-        super().__init__(grid_width, grid_height, nodes_per_router)
-        if routing not in ("xy", "yx"):
-            raise ConfigError(
-                f"torus deadlock avoidance is defined for dimension-order "
-                f"routing only ('xy' or 'yx'); got {routing!r}"
-            )
-        self.routing = routing
-        self._x_first = routing == "xy"
 
     def neighbor(self, router_id: int, direction: int) -> int | None:
         x, y = self._coords[router_id]
@@ -76,29 +64,18 @@ class TorusTopology(Topology):
             return -1
         src_x, src_y = self._coords[router_id]
         dst_x, dst_y = self._coords[dst_router]
-        if self._x_first:
-            if src_x != dst_x:
-                return _ring_direction(src_x, dst_x, self.grid_width,
-                                       EAST, WEST)
-            return _ring_direction(src_y, dst_y, self.grid_height,
-                                   SOUTH, NORTH)
-        if src_y != dst_y:
-            return _ring_direction(src_y, dst_y, self.grid_height,
-                                   SOUTH, NORTH)
-        return _ring_direction(src_x, dst_x, self.grid_width, EAST, WEST)
+        if src_x != dst_x:
+            return _ring_direction(src_x, dst_x, self.grid_width, EAST, WEST)
+        return _ring_direction(src_y, dst_y, self.grid_height, SOUTH, NORTH)
 
     def vc_class(self, router_id: int, dst_router: int) -> int:
         if router_id == dst_router:
             return 0
         src_x, src_y = self._coords[router_id]
         dst_x, dst_y = self._coords[dst_router]
-        if self._x_first:
-            if src_x != dst_x:
-                return _ring_class(src_x, dst_x, self.grid_width)
-            return _ring_class(src_y, dst_y, self.grid_height)
-        if src_y != dst_y:
-            return _ring_class(src_y, dst_y, self.grid_height)
-        return _ring_class(src_x, dst_x, self.grid_width)
+        if src_x != dst_x:
+            return _ring_class(src_x, dst_x, self.grid_width)
+        return _ring_class(src_y, dst_y, self.grid_height)
 
     def detour_vc_class(self, router_id: int, dst_router: int,
                         direction: int) -> int:

@@ -32,7 +32,7 @@ from math import ceil
 
 from repro.config import NetworkConfig
 from repro.errors import ConfigError
-from repro.network.arbiters import MatrixArbiter, RoundRobinArbiter
+from repro.network.arbiters import RoundRobinArbiter
 from repro.network.buffers import CreditCounter, InputBuffer
 from repro.network.flit import Flit
 from repro.network.links import EJECTION, INJECTION, MESH, Link
@@ -182,11 +182,8 @@ class NetworkFabric:
         self.downstream_buffers.append(None)
         return link
 
-    def _new_arbiter(self, router: Router):
-        size = router.num_ports * self.config.num_vcs
-        if self.config.arbiter == "matrix":
-            return MatrixArbiter(size)
-        return RoundRobinArbiter(size)
+    def _new_arbiter(self, router: Router) -> RoundRobinArbiter:
+        return RoundRobinArbiter(router.num_ports * self.config.num_vcs)
 
     def _vc_credits(self) -> list[CreditCounter]:
         depth = self.config.buffer_depth // self.config.num_vcs

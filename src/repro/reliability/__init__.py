@@ -12,10 +12,10 @@ Three cooperating layers:
   budget, ACK timeout and exponential backoff; retries consume real link
   busy-time and energy.
 * **Graceful degradation** — fault-aware routing around dead mesh links
-  (:func:`~repro.network.routing.fault_aware_route`), BER margin guards
-  vetoing power descents past the reliability target, and the
-  :class:`~repro.metrics.reliability.ReliabilityReport` making the cost
-  visible.
+  (:meth:`~repro.network.topologies.base.Topology.fallback_directions`),
+  BER margin guards vetoing power descents past the reliability target,
+  and the :class:`~repro.metrics.reliability.ReliabilityReport` making
+  the cost visible.
 
 Everything is **default-off**: a run with ``faults=None`` takes none of
 these code paths and is bit-identical to a build without this package.

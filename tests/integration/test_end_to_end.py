@@ -18,6 +18,7 @@ from repro.config import (
     VCSEL,
 )
 from repro.network.simulator import Simulator
+from repro.network.validation import validate_topology
 from repro.traffic.trace import TraceRecord, TraceReplaySource
 from repro.traffic.uniform import UniformRandomTraffic
 
@@ -66,6 +67,22 @@ class TestConservation:
         occupancy = sum(ip.occupancy for r in sim.network.routers
                         for ip in r.inputs)
         assert occupancy == 0
+
+    def test_loaded_mesh_delivers_without_stalling(self):
+        # Two VCs, 8-flit buffers, 0.4 load: the stall watchdog raises if
+        # XY routing with round-robin arbitration ever wedges.
+        network = NetworkConfig(mesh_width=3, mesh_height=3,
+                                nodes_per_cluster=2, buffer_depth=8,
+                                num_vcs=2)
+        config = SimulationConfig(network=network, power=None,
+                                  sample_interval=500,
+                                  stall_limit_cycles=3000)
+        traffic = UniformRandomTraffic(network.num_nodes, 0.4, seed=6)
+        sim = Simulator(config, traffic)
+        sim.run(4000)
+        stats = sim.stats
+        assert stats.packets_delivered > 0.9 * stats.packets_created
+        assert validate_topology(sim.network) == []
 
     def test_power_aware_delivers_everything_too(self):
         config = small_config(power=fast_power())

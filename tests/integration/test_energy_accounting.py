@@ -2,8 +2,7 @@
 
 The power manager accounts energy in O(state changes); these tests verify
 it against a brute-force per-cycle sum of instantaneous power, under real
-policy activity and under the on/off bursty workload, plus arbiter and
-scale variants.
+policy activity and under the on/off bursty workload.
 """
 
 import pytest
@@ -20,9 +19,9 @@ from repro.traffic.onoff import OnOffTraffic
 from repro.traffic.uniform import UniformRandomTraffic
 
 
-def make_sim(rate=0.3, arbiter="round_robin", bursty=False, seed=3):
+def make_sim(rate=0.3, bursty=False, seed=3):
     network = NetworkConfig(mesh_width=2, mesh_height=2, nodes_per_cluster=2,
-                            buffer_depth=8, num_vcs=2, arbiter=arbiter)
+                            buffer_depth=8, num_vcs=2)
     power = PowerAwareConfig(
         policy=PolicyConfig(window_cycles=100, history_windows=2),
         transitions=TransitionConfig(
@@ -61,19 +60,8 @@ def test_analytic_energy_matches_dense_sampling(bursty):
     assert analytic == pytest.approx(sampled, rel=0.01)
 
 
-def test_energy_identical_across_arbiters_at_idle():
-    # With no traffic the arbiter never fires; energy must be identical.
-    results = []
-    for arbiter in ("round_robin", "matrix"):
-        sim = make_sim(rate=0.0, arbiter=arbiter)
-        sim.run(2000)
-        sim.finalize()
-        results.append(sim.power.total_energy_watt_cycles())
-    assert results[0] == pytest.approx(results[1])
-
-
-def test_matrix_arbiter_network_behaves():
-    sim = make_sim(rate=0.5, arbiter="matrix")
+def test_loaded_network_delivers_and_saves_power():
+    sim = make_sim(rate=0.5)
     sim.run(4000)
     stats = sim.stats
     assert stats.packets_delivered > 0.9 * stats.packets_created

@@ -17,6 +17,7 @@ from repro.config import (
     SimulationConfig,
     TransitionConfig,
 )
+from repro.core.policy import STEP_DOWN
 from repro.network.simulator import Simulator
 from repro.traffic.hotspot import HotspotTraffic, Phase
 from repro.traffic.uniform import UniformRandomTraffic
@@ -88,13 +89,68 @@ class TestStabiliserAblations:
         assert healthy_fraction > 0.97
         assert healthy.stats.mean_latency < degraded.stats.mean_latency
 
-    def test_rescue_reduces_latency_under_bursts(self):
-        no_rescue = replace(POLICY, rescue_threshold=1.0)
+    # The guard and the rescue matter only under the paper's busy-time
+    # Lu: pressure-aware Lu already reads a credit-starved link as busy,
+    # so with it on, neither rule changes a decision on these workloads.
+
+    def test_rescue_lifts_delivery_under_bursts(self):
+        # Bursts far above saturation build congestion trees whose
+        # starved links under-read their own demand; the rescue raises
+        # them in parallel.  Delivered fraction 0.736 vs 0.701 at seed 2
+        # (+0.033..+0.065 on seeds 1-6).  Mean latency of *delivered*
+        # packets rises with the rescue (476 vs 453 cycles), because the
+        # extra packets it gets through are the ones that queued longest,
+        # so delivery is the measure, not latency.
+        policy = replace(POLICY, pressure_aware_utilisation=False)
         phases = (Phase(0, 0.02), Phase(2000, 1.4), Phase(5000, 0.02),
                   Phase(6000, 1.4))
-        with_rescue = run_sim(phases=phases, cycles=9000, policy=POLICY)
-        without = run_sim(phases=phases, cycles=9000, policy=no_rescue)
-        assert with_rescue.stats.mean_latency <= without.stats.mean_latency
+        with_rescue = run_sim(phases=phases, cycles=9000, policy=policy)
+        without = run_sim(phases=phases, cycles=9000,
+                          policy=replace(policy, rescue_threshold=1.0))
+        created = with_rescue.stats.packets_created
+        assert without.stats.packets_created == created
+        gained = (with_rescue.stats.packets_delivered
+                  - without.stats.packets_delivered)
+        assert gained / created > 0.02
+
+    def test_guard_cuts_latency_near_saturation(self):
+        # Sustained uniform load just past saturation: without the guard,
+        # credit-starved links read low busy-time Lu and step down,
+        # cascading the congestion.  Mean latency 552 vs 703 cycles at
+        # seed 2 (ratio 0.79..0.97 on seeds 1-8, with delivery higher on
+        # every one).
+        policy = replace(POLICY, pressure_aware_utilisation=False)
+        guarded = run_sim(traffic_rate=1.2, cycles=20_000, policy=policy)
+        unguarded = run_sim(
+            traffic_rate=1.2, cycles=20_000,
+            policy=replace(policy, congestion_inhibits_downscale=False),
+        )
+        assert guarded.stats.mean_latency < \
+            0.95 * unguarded.stats.mean_latency
+        assert guarded.stats.packets_delivered > \
+            unguarded.stats.packets_delivered
+
+    def test_headroom_check_holds_down_steps_in_a_narrow_band(self):
+        # Fig. 5(d-f) at T = 0.60 sets (TL, TH) = (0.55, 0.65).  TH / TL is
+        # 1.18, below the 6/5 step ratio of the ladder's bottom rung, so a
+        # level-1 link averaging just under TL would step down into a
+        # projected Lu above TH; the check holds it.  With the default
+        # band (TH / TL = 1.5) it cannot fire.  Here it holds 3-7
+        # down-steps per run on seeds 1-8 (fewer STEP_DOWN decisions on
+        # every one) and moves relative power by under 0.2%.
+        policy = POLICY.with_average_threshold(0.60)
+        checked = run_sim(traffic_rate=0.7, policy=policy, cycles=10_000)
+        unchecked = run_sim(
+            traffic_rate=0.7, cycles=10_000,
+            policy=replace(policy, downscale_headroom_check=False),
+        )
+
+        def down_decisions(sim):
+            return sum(pal.policy.decisions[STEP_DOWN]
+                       for pal in sim.power.links)
+
+        assert down_decisions(checked) < down_decisions(unchecked)
+        assert checked.relative_power() != unchecked.relative_power()
 
 
 class TestTransitionCosts:

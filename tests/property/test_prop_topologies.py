@@ -29,18 +29,17 @@ _DIRECTIONS = (EAST, WEST, NORTH, SOUTH)
 @st.composite
 def topologies(draw):
     kind = draw(st.sampled_from(["mesh", "torus", "cmesh", "line"]))
-    routing = draw(st.sampled_from(["xy", "yx"]))
     if kind == "line":
-        return LineTopology(draw(st.integers(1, 9)), 2, routing)
+        return LineTopology(draw(st.integers(1, 9)), 2)
     width = draw(st.integers(1, 5))
     height = draw(st.integers(1, 5))
     if kind == "mesh":
-        return MeshTopology(width, height, 2, routing)
+        return MeshTopology(width, height, 2)
     if kind == "torus":
-        return TorusTopology(width, height, 2, routing)
+        return TorusTopology(width, height, 2)
     concentration = draw(st.sampled_from([1, 2]))
     return CMeshTopology(width * concentration, height * concentration,
-                         2, concentration, routing)
+                         2, concentration)
 
 
 def walk(topology, src, dst):

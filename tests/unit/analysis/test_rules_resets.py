@@ -83,19 +83,17 @@ class TestResetCompleteness:
         assert "Child.x" in result.findings[0].message
 
     def test_alias_subscript_restore_passes(self, check_tree):
-        # The MatrixArbiter idiom: in-place restoration through aliases.
+        # In-place restoration of a nested table through aliases.
         result = check_tree({
-            "repro/network/arbiters.py": (
-                "class MatrixArbiter:\n"
-                "    def __init__(self, size):\n"
-                "        self.size = size\n"
-                "        self._beats = [[False] * size "
-                "for _ in range(size)]\n"
+            "repro/a.py": (
+                "class Priorities:\n"
+                "    def __init__(self):\n"
+                "        self._beats = [[False] * 4 for _ in range(4)]\n"
                 "    def reset(self):\n"
                 "        beats = self._beats\n"
-                "        for i in range(self.size):\n"
+                "        for i in range(4):\n"
                 "            row = beats[i]\n"
-                "            for j in range(self.size):\n"
+                "            for j in range(4):\n"
                 "                row[j] = i < j\n"
             ),
         }, rule_ids=["RC001"])
@@ -163,13 +161,6 @@ ARBITERS_OK = (
     "        self._next = 0\n"
     "    def reset(self):\n"
     "        self._next = 0\n"
-    "\n"
-    "class MatrixArbiter:\n"
-    "    def __init__(self, size):\n"
-    "        self.size = size\n"
-    "        self._beats = []\n"
-    "    def reset(self):\n"
-    "        self._beats = []\n"
 )
 
 
@@ -181,12 +172,13 @@ class TestResetExemptionStaleness:
         assert result.ok, "\n" + result.format_text()
 
     def test_flags_exemption_for_vanished_class(self, check_tree):
-        without_matrix = ARBITERS_OK.split("\nclass MatrixArbiter")[0] + "\n"
+        renamed = ARBITERS_OK.replace("class RoundRobinArbiter:",
+                                      "class RotatingArbiter:")
         result = check_tree({
-            "repro/network/arbiters.py": without_matrix,
+            "repro/network/arbiters.py": renamed,
         }, rule_ids=["RC003"])
         assert rule_ids_of(result) == ["RC003"]
-        assert "MatrixArbiter" in result.findings[0].message
+        assert "RoundRobinArbiter" in result.findings[0].message
 
     def test_flags_exemption_for_vanished_attribute(self, check_tree):
         renamed = ARBITERS_OK.replace(

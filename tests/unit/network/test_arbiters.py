@@ -1,9 +1,9 @@
-"""Unit tests for the round-robin and matrix arbiters."""
+"""Unit tests for the round-robin arbiter."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.network.arbiters import MatrixArbiter, RoundRobinArbiter
+from repro.network.arbiters import RoundRobinArbiter
 
 
 class TestRoundRobin:
@@ -38,28 +38,3 @@ class TestRoundRobin:
         with pytest.raises(ConfigError):
             RoundRobinArbiter(0)
 
-
-class TestMatrix:
-    def test_single_requester_wins(self):
-        assert MatrixArbiter(4).grant([3]) == 3
-
-    def test_no_requests(self):
-        assert MatrixArbiter(4).grant([]) == -1
-
-    def test_least_recently_served(self):
-        arbiter = MatrixArbiter(3)
-        assert arbiter.grant([0, 1]) == 0
-        # 0 just won, so it now loses to everyone.
-        assert arbiter.grant([0, 1]) == 1
-        assert arbiter.grant([0, 2]) == 2
-        assert arbiter.grant([1, 2]) == 1
-
-    def test_fair_over_cycle(self):
-        arbiter = MatrixArbiter(3)
-        winners = [arbiter.grant([0, 1, 2]) for _ in range(6)]
-        assert sorted(winners[:3]) == [0, 1, 2]
-        assert sorted(winners[3:]) == [0, 1, 2]
-
-    def test_out_of_range_request_rejected(self):
-        with pytest.raises(ConfigError):
-            MatrixArbiter(2).grant([2])

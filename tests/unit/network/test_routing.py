@@ -1,18 +1,13 @@
 """Unit tests for mesh routing functions."""
 
-import pytest
-
-from repro.errors import ConfigError
 from repro.network.routing import (
     EAST,
     NORTH,
     OPPOSITE,
     SOUTH,
     WEST,
-    get_routing_function,
     hop_count,
     xy_route,
-    yx_route,
 )
 
 
@@ -52,38 +47,6 @@ class TestXy:
             x, y = x + dx, y + dy
             hops += 1
         assert hops == hop_count(0, 0, *dst) == 5
-
-
-class TestYx:
-    def test_y_before_x(self):
-        assert yx_route(0, 0, 2, 2) == SOUTH
-        assert yx_route(0, 3, 2, 2) == NORTH
-
-    def test_x_after_y_done(self):
-        assert yx_route(0, 2, 2, 2) == EAST
-
-    def test_arrived(self):
-        assert yx_route(1, 1, 1, 1) == -1
-
-
-class TestWestFirst:
-    def test_west_taken_first(self):
-        west_first = get_routing_function("west_first")
-        assert west_first(3, 0, 1, 2) == WEST
-
-    def test_east_region_prefers_x(self):
-        west_first = get_routing_function("west_first")
-        assert west_first(0, 0, 2, 2) == EAST
-
-
-class TestRegistry:
-    def test_known_names(self):
-        for name in ("xy", "yx", "west_first"):
-            assert callable(get_routing_function(name))
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigError):
-            get_routing_function("adaptive-magic")
 
 
 class TestHelpers:

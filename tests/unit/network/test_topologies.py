@@ -129,10 +129,6 @@ class TestTorusGeometry:
         # 0 -> 1 travels east, no wrap: class 0.
         assert topology.vc_class(0, 1) == 0
 
-    def test_rejects_non_dimension_order_routing(self):
-        with pytest.raises(ConfigError):
-            TorusTopology(4, 4, 2, routing="west_first")
-
     def test_link_off_allowed_everywhere(self):
         topology = TorusTopology(4, 4, 2)
         for kind in (INJECTION, EJECTION, MESH):
