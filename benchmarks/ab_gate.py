@@ -15,6 +15,11 @@ any workload,
 - a head run reports ``correct: false``; or
 - a head run reports more failed operations than its base partner.
 
+It also reports, per workload and seed, whether head's simulated-
+statistics digest (simbench's info line, the one before the result)
+equals base's.  A changed digest is printed, not failed on: a change
+that means to alter behaviour changes it.
+
 Both sides of a pair run back to back on the same machine, so host speed
 cancels out of the ratio: there is no calibration score and no committed
 baseline to re-record.  docs/performance.md records how ``BOUND``,
@@ -45,21 +50,31 @@ BOUND = 0.10
 
 
 def run_simbench(checkout: Path, workload: str, seed: int) -> dict:
-    """One simbench run in ``checkout``; its result object (last line)."""
+    """One simbench run in ``checkout``: its result object (last line),
+    with the info line before it under ``"info"``."""
     command = [sys.executable, "simbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(SECONDS)]
     proc = subprocess.run(command, cwd=checkout, capture_output=True,
                           text=True, check=False)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
+    if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(
             f"simbench {workload} seed {seed} in {checkout} exited "
             f"{proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["info"] = json.loads(lines[-2])["info"]
+    return result
 
 
 def cpu_ratio(base: dict, head: dict) -> float:
     return head["metrics"]["cpu_s"]["value"] / base["metrics"]["cpu_s"]["value"]
+
+
+def digest_note(base: dict, head: dict) -> str:
+    """Whether head's simulated-statistics digest equals base's."""
+    if head["info"]["digest"] == base["info"]["digest"]:
+        return "digest equal"
+    return "digest CHANGED"
 
 
 def median_ratio(pairs: list[tuple[dict, dict]]) -> float:
@@ -107,7 +122,8 @@ def main(argv: list[str]) -> int:
                     print(f"{workload} seed {seed}: base cpu_s "
                           f"{base['metrics']['cpu_s']['value']:.3f}, head "
                           f"{head['metrics']['cpu_s']['value']:.3f}, ratio "
-                          f"{cpu_ratio(base, head):.3f}", flush=True)
+                          f"{cpu_ratio(base, head):.3f}, "
+                          f"{digest_note(base, head)}", flush=True)
         finally:
             subprocess.run(["git", "worktree", "remove", "--force",
                             str(base_dir)], cwd=ROOT, check=False)

@@ -69,7 +69,7 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         "TorusTopology.vc_class",
     }),
     # The arrival calendar: popped once per cycle, filed into once per
-    # flit-hop (Link.push, Node.step, Router._forward) and once per
+    # filed flit-hop (Link.push, Node.step, Router._forward) and once per
     # retransmission.
     "repro/engine/schedule.py": frozenset({
         "DeliverySchedule.pop_due",

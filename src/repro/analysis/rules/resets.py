@@ -49,13 +49,14 @@ RESET_EXEMPT: dict[str, dict[str, frozenset[str]]] = {
         # whole point of the cache is reusing the constructed fabric.
         "Router": frozenset({
             "router_id", "topology", "x", "y", "num_local", "num_ports",
-            "num_vcs", "inputs", "outputs", "head_delay",
+            "num_vcs", "inputs", "outputs", "head_delay", "_out_links",
         }),
     },
     "repro/network/links.py": {
-        # Identity and timing constants baked in by the topology builder.
+        # Identity and timing constants baked in by the topology builder;
+        # ``sink`` is wiring set together with ``deliver``.
         "Link": frozenset({"link_id", "kind", "propagation_cycles",
-                           "deliver"}),
+                           "deliver", "sink"}),
     },
     "repro/network/topology.py": {
         # Node wiring (its injection link, credit pool and stats sink)

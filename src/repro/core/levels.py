@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
 from repro.photonics.constants import MAX_BIT_RATE, NOMINAL_VDD
@@ -28,6 +28,11 @@ class BitRateLadder:
     """An ascending tuple of selectable link bit rates."""
 
     rates: tuple[float, ...]
+    #: ``rates[l] / rates[l - 1]`` per level (1.0 at level 0): the
+    #: utilisation growth a one-level down-step projects, which the
+    #: policy's headroom check reads every window.  Derived once here.
+    down_ratios: tuple[float, ...] = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self) -> None:
         if not self.rates:
@@ -38,6 +43,11 @@ class BitRateLadder:
             raise ConfigError(f"rates must be distinct, got {self.rates!r}")
         for rate in self.rates:
             require_positive("rate", rate)
+        rates = self.rates
+        object.__setattr__(self, "down_ratios", (1.0,) + tuple(
+            rates[level] / rates[level - 1]
+            for level in range(1, len(rates))
+        ))
 
     @classmethod
     def linear(cls, min_rate: float, max_rate: float,

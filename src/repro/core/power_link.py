@@ -179,10 +179,10 @@ class PowerAwareLink:
         following windows will repeat (see :meth:`_park`).
         """
         decision = self._evaluate(start, end)
-        self._park(decision)
+        self._park(decision, end)
         return decision
 
-    def _park(self, decision: int) -> None:
+    def _park(self, decision: int, end: float) -> None:
         """Park this link if the window it just closed is a fixed point.
 
         That is the case when the window read ``Lu`` = ``Bu`` = 0, took
@@ -195,12 +195,13 @@ class PowerAwareLink:
         unchanged, and STEP_DOWN only needs the average to stay below TL.
 
         The next window repeats this one as long as nothing feeds the
-        link activity.  Here that means no flit in flight (so the
-        serialiser is free too), empty downstream buffers, no fault
-        state (retransmissions add busy time without a new flit) and no
-        optical controller (its epochs move on their own).  The manager
-        checks the rest, no new flit and no demand pressure, before it
-        closes a parked window in closed form.
+        link activity.  Here that means no flit in flight at ``end``,
+        ejection run flits included (so the serialiser is free too),
+        empty downstream buffers, no fault state (retransmissions add
+        busy time without a new flit) and no optical controller (its
+        epochs move on their own).  The manager checks the rest, no new
+        flit and no demand pressure, before it closes a parked window in
+        closed form.
         """
         self.parked_flits = -1
         engine = self.engine
@@ -216,7 +217,7 @@ class PowerAwareLink:
                 or self.last_step_accepted or self.optical is not None:
             return
         link = self.link
-        if link.faults is not None or link.has_in_flight:
+        if link.faults is not None or link.in_flight_at(end):
             return
         buffers = self.downstream_buffer
         if buffers:
@@ -256,12 +257,8 @@ class PowerAwareLink:
                 self.last_step_accepted = self.engine.request_wake(end)
                 return STEP_UP
             return HOLD
-        level = self.engine.level
-        if level > 0:
-            down_ratio = self.ladder.rate(level) / self.ladder.rate(level - 1)
-        else:
-            down_ratio = 1.0
-        decision = self.policy.observe(lu, bu, down_ratio)
+        decision = self.policy.observe(
+            lu, bu, self.ladder.down_ratios[self.engine.level])
 
         if self.optical is not None:
             self.optical.note_rate(self.engine.operating_rate)

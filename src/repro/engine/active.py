@@ -4,8 +4,9 @@ The simulator's cost model is energy-proportional, like the networks it
 simulates: components register themselves while they hold work
 (buffered flits in a router, queued flits at a node) and are skipped
 entirely otherwise, so a light-load cycle costs O(active) instead of
-O(network).  Links need no registry: every flit in flight is filed in
-the :class:`~repro.engine.schedule.DeliverySchedule` arrival calendar.
+O(network).  Links need no registry: every flit with a hand-over to
+make is filed in the :class:`~repro.engine.schedule.DeliverySchedule`
+arrival calendar.
 
 Determinism: membership is unordered (O(1) add/discard from hot paths),
 but iteration always goes through :meth:`ActiveSet.snapshot`, which sorts

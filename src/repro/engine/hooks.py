@@ -30,7 +30,11 @@ Events
 ``delivery``
     ``cb(link, flit, now)`` for every flit delivered off a link into a
     downstream buffer or node sink.  This is the hottest hook; it is only
-    evaluated while at least one callback is registered.
+    evaluated while at least one callback is registered.  Registering
+    one also restores per-flit filing of ejection body flits, which
+    unhooked runs move as runs and never hand over (see
+    :mod:`repro.engine.schedule`); registered before the run starts,
+    the hook sees every hand-over.
 ``packet_delivered``
     ``cb(packet, now)`` when a packet's tail flit reaches its destination
     node (fired through the stats collector).  Use this for packet-level

@@ -16,7 +16,14 @@ keeping runs bit-identical) and hands over ``link._in_flight.popleft()``
 once per entry.  Entries are bare link ids, so sorting compares ints
 only; a link's entries are interchangeable, and popping its deque once
 per entry keeps per-link FIFO order.  The link deque stays the single
-record of flits in flight — the calendar holds no flits.
+record of filed flits in flight — the calendar holds no flits.
+
+Only flits with a hand-over to make are filed.  ``Router._forward``
+moves the non-tail flits of a fault-free ejection link as a *run*
+(``Link.body_runs``): their node sink ignores them, so they are billed
+and counted but neither queued nor filed, and the link keeps only the
+run's ``last_arrival`` (``Link.in_flight_at``).  A registered
+``delivery`` hook turns filing back on for every flit.
 
 A plain dict-of-lists beats a heap because the simulator visits every
 integer cycle in order and pushes always land on *future* cycles
@@ -31,10 +38,12 @@ runs such links through ``LinkFaultState.filter_arrivals``, which hands
 over every due flit at the front of the deque.  Entries whose flits left
 with an earlier call (the flits queued behind a retried head) find
 nothing due, and ``filter_arrivals`` draws no random number for them, so
-they are harmless no-ops.  Every flit in flight therefore has an entry in
-an unpopped bucket (its own, or the retried head's it queues behind), and
-every entry in an unpopped bucket belongs to a flit still in flight:
-:meth:`DeliverySchedule.pending` is the drain check's "links idle" view.
+they are harmless no-ops.  Every filed flit in flight therefore has an
+entry in an unpopped bucket (its own, or the retried head's it queues
+behind), and every entry in an unpopped bucket belongs to a flit still
+in flight: :meth:`DeliverySchedule.pending` is the drain check's "links
+idle" view.  A run's body flits arrive before its tail, which is filed,
+and the tail's packet counts as in flight until it is delivered.
 
 An entry filed for a cycle whose bucket has already been popped would
 never be delivered and would silently stall the drain.  Filing stays

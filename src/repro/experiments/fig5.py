@@ -158,12 +158,15 @@ def threshold_sweep(scale: ExperimentScale,
 
     TH - TL stays fixed at 0.1 ("simulations show better
     power-performance"); the congested thresholds shift with the average.
+    Every point keeps the scale's policy window, like every other
+    experiment at that scale.
     """
     return _policy_sweep(
         scale, reference_rates(scale.network),
         "average_threshold", averages,
         lambda average, load: f"T={average}/{load}",
-        lambda average: PolicyConfig().with_average_threshold(average),
+        lambda average: scale.default_policy().with_average_threshold(
+            average),
         technology, seed, max_workers, execution,
     )
 

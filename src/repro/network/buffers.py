@@ -123,9 +123,11 @@ class CreditCounter:
 
     ``available`` is a plain slot attribute (not a property): the router's
     switch-allocation loop reads it once per candidate VC per cycle, and a
-    property descriptor call there is measurable.  Treat it as read-only
-    outside this class — mutate through :meth:`consume`/:meth:`refill`,
-    which enforce the credit-protocol bounds.
+    property descriptor call there is measurable.  Mutate it through
+    :meth:`consume`/:meth:`refill`, which enforce the credit-protocol
+    bounds; the per-flit paths (``Router._forward``, ``Node.step``)
+    inline them and call them only where a bound is violated, so the
+    diagnostics stay theirs.
     """
 
     __slots__ = ("capacity", "available")

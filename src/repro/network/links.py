@@ -56,13 +56,18 @@ class Link:
         "free_at",
         "disabled_until",
         "deliver",
+        "sink",
         "_in_flight",
         "busy_accum",
         "pressure_accum",
+        "pressure_cycle",
         "flits_carried",
         "calendar",
         "failed",
         "faults",
+        "body_runs",
+        "last_arrival",
+        "delivery_hooks",
     )
 
     def __init__(
@@ -89,18 +94,30 @@ class Link:
         #: Destination callback, assigned by the topology builder:
         #: ``deliver(flit, now)`` pushes into a router buffer or a node sink.
         self.deliver: Callable[[Flit, float], None] | None = None
+        #: ``(router, port, input_port)`` for a link feeding a router
+        #: input, set with ``deliver`` by the topology builder: the
+        #: unhooked deliver phase pushes into that port's VC buffers
+        #: itself instead of calling ``deliver``.  ``None`` (ejection
+        #: links, standalone links) always goes through ``deliver``; a
+        #: caller that replaces ``deliver`` must clear it (and, on an
+        #: ejection link, ``body_runs``).
+        self.sink: tuple | None = None
         self._in_flight: deque[tuple[float, Flit]] = deque()
         self.busy_accum = 0.0
         #: Cycles in which at least one flit wanted this link (whether or
         #: not it could be served) — the work-conserving utilisation signal.
-        #: Incremented by the router/node feeding the link.
+        #: Incremented by the router/node feeding the link; a router
+        #: stamps the cycle it last counted in ``pressure_cycle`` so
+        #: several VCs wanting the link count once.
         self.pressure_accum = 0.0
+        self.pressure_cycle = -1
         self.flits_carried = 0
         #: The bucket dict of the simulator's
         #: :class:`~repro.engine.schedule.DeliverySchedule` (due cycle ->
         #: link ids): every push files this link's id under
-        #: ``ceil(arrival)``, so the deliver phase visits a link exactly
-        #: in the cycles a flit of it arrives.  ``None`` for a standalone
+        #: ``ceil(arrival)`` (run body flits excepted, see
+        #: ``body_runs``), so the deliver phase visits a link exactly in
+        #: the cycles a flit of it has a hand-over to make.  ``None`` for a standalone
         #: link outside any simulator (unit tests).
         self.calendar: defaultdict[int, list[int]] | None = None
         #: Hard-failure flag set by the reliability manager.  Routing
@@ -112,13 +129,25 @@ class Link:
         #: (fault-injected runs only); ``None`` keeps arrival handling on
         #: the plain fast path.
         self.faults = None
+        #: Whether the router feeding this link may move non-tail flits
+        #: as a *run*: billed and counted like any flit, but never filed
+        #: in ``_in_flight`` or the calendar, because their only hand-over
+        #: would be to a node sink that ignores them.  Set by the
+        #: simulator for fault-free ejection links; only the run's
+        #: ``last_arrival`` is kept.  A registered ``delivery`` hook
+        #: (``delivery_hooks``, the simulator's list, aliased) restores
+        #: per-flit filing so the hook sees every hand-over.
+        self.body_runs = False
+        self.last_arrival = 0.0
+        self.delivery_hooks: list | tuple = ()
 
     def reset(self) -> None:
         """Restore construction-time transport state for a warm rerun.
 
-        ``deliver`` (the wiring) is structural and survives; ``calendar``
-        is reassigned by the simulator's run-state init, so clearing it
-        here just drops the previous run's engine object.
+        ``deliver`` and ``sink`` (the wiring) are structural and
+        survive; ``calendar``, ``delivery_hooks`` and ``body_runs`` are
+        reassigned by the simulator's run-state init, so clearing them
+        here just drops the previous run's engine objects.
         """
         self.service_time = 1.0
         self.free_at = 0.0
@@ -126,14 +155,31 @@ class Link:
         self._in_flight.clear()
         self.busy_accum = 0.0
         self.pressure_accum = 0.0
+        self.pressure_cycle = -1
         self.flits_carried = 0
         self.calendar = None
         self.failed = False
         self.faults = None
+        self.body_runs = False
+        self.last_arrival = 0.0
+        self.delivery_hooks = ()
 
     @property
     def has_in_flight(self) -> bool:
+        """Whether a flit filed in ``_in_flight`` is still on the link.
+
+        Run body flits are not filed; :meth:`in_flight_at` counts them.
+        """
         return bool(self._in_flight)
+
+    def in_flight_at(self, now: float) -> bool:
+        """Whether any flit pushed so far is still in flight at ``now``.
+
+        Exact once the deliver phase of integer cycle ``now`` has run: a
+        filed flit is then gone iff it arrived by ``now``, and a run's
+        flits arrive in push order, the last at ``last_arrival``.
+        """
+        return bool(self._in_flight) or self.last_arrival > now
 
     def can_accept(self, now: float) -> bool:
         """Whether a new flit may start serialising at cycle ``now``."""

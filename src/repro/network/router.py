@@ -84,7 +84,8 @@ def _wide_bits(mask: int) -> list[int]:
 class VirtualChannel:
     """Per-VC state at an input port: buffer + wormhole route/VC latches."""
 
-    __slots__ = ("buffer", "route_out", "eligible_at", "out_vc", "vc_class")
+    __slots__ = ("buffer", "route_out", "eligible_at", "out_vc", "vc_class",
+                 "out_credit")
 
     def __init__(self, buffer: InputBuffer):
         self.buffer = buffer
@@ -94,6 +95,17 @@ class VirtualChannel:
         #: VC class latched at RC time (deadlock-avoidance band the next
         #: hop's VC must come from); always 0 on single-class topologies.
         self.vc_class = 0
+        #: The downstream VC's credit counter (None on ejection ports),
+        #: latched with ``out_vc`` at VC allocation and cleared with it
+        #: at the tail, so the per-flit scan and traversal skip the
+        #: output-port lookups.
+        self.out_credit: CreditCounter | None = None
+
+    def release(self) -> None:
+        """Drop the route and downstream-VC latches (tail sent, or reset)."""
+        self.route_out = -1
+        self.out_vc = -1
+        self.out_credit = None
 
 
 class InputPort:
@@ -169,7 +181,7 @@ class Router:
         "num_vcs", "inputs", "outputs", "head_delay", "topology",
         "_active_mask", "_requests", "_route_table",
         "_vc_classes", "_class_bounds", "_rc_class",
-        "registry", "fault_stats",
+        "registry", "fault_stats", "_out_links",
     )
 
     def __init__(self, router_id: int, num_local: int, buffer_depth: int,
@@ -197,6 +209,10 @@ class Router:
         # Output ports are attached by the fabric builder; missing mesh
         # directions (edge routers) stay None and must never be routed to.
         self.outputs: list[OutputPort | None] = [None] * self.num_ports
+        #: ``outputs[p].link`` per port, flat: the allocation scan needs
+        #: a VC's output link every cycle (demand pressure, serialiser
+        #: gate), before and after its downstream VC is allocated.
+        self._out_links: list[Link | None] = [None] * self.num_ports
         self.head_delay = head_delay
         if num_vcs > 16:
             # The per-port VC work-list mask must stay within the
@@ -208,8 +224,10 @@ class Router:
         #: work-list; invariant: bit ``i`` set <-> ``inputs[i].nonempty``).
         self._active_mask = 0
         #: Scratch request map reused across :meth:`step` calls (allocating
-        #: a fresh dict per router per cycle showed up in profiles).
-        self._requests: dict[int, list[tuple[int, int]]] = {}
+        #: a fresh dict per router per cycle showed up in profiles):
+        #: output port -> requesters encoded ``port * num_vcs + vc``, the
+        #: arbiter's index space.
+        self._requests: dict[int, list[int]] = {}
         #: Per-destination-router output-port lookup, resolved from the
         #: topology (:meth:`build_route_table`); ``None`` for standalone
         #: routers (unit tests), ``-1`` entries fall back to
@@ -239,6 +257,7 @@ class Router:
                 f"router {self.router_id} output {port} already attached"
             )
         self.outputs[port] = output
+        self._out_links[port] = output.link
 
     def receive_flit(self, port: int, flit: Flit, now: float) -> None:
         """Accept a flit delivered by the input link of ``port``."""
@@ -370,9 +389,8 @@ class Router:
         for port in self.inputs:
             for vc in port.vcs:
                 vc.buffer.reset()
-                vc.route_out = -1
+                vc.release()
                 vc.eligible_at = 0.0
-                vc.out_vc = -1
                 vc.vc_class = 0
             if port.upstream_credits is not None:
                 for credit in port.upstream_credits:
@@ -488,12 +506,11 @@ class Router:
         # per call at saturation), so the first candidate is held in plain
         # locals and the per-output request map is only materialised when a
         # second candidate appears.
-        nreq = 0
         out0 = i0 = v0 = -1
         requests = None
-        pressured = 0
         bits = _BITS
         vc_classes = self._vc_classes
+        out_links = self._out_links
         for i in bits[active] if active < _BITS_LIMIT else _wide_bits(active):
             port = inputs[i]
             vcs = port.vcs
@@ -516,14 +533,19 @@ class Router:
                     if vc_classes is not None:
                         vc.vc_class = self._rc_class
                     vc.eligible_at = now + self.head_delay
-                pressured |= 1 << out_idx
+                # Demand pressure: one count per output link per cycle,
+                # however many VCs want it.
+                link = out_links[out_idx]
+                if link.pressure_cycle != now:
+                    link.pressure_cycle = now
+                    link.pressure_accum += 1.0
                 if now < vc.eligible_at:
                     continue
-                op = outputs[out_idx]
                 if vc.out_vc < 0:
                     # VC allocation: claim a free downstream VC — from the
                     # head's deadlock-avoidance band on multi-class
                     # topologies, from the full range otherwise.
+                    op = outputs[out_idx]
                     if vc_classes is None:
                         grant = op.free_vc()
                     else:
@@ -533,30 +555,29 @@ class Router:
                         continue
                     op.vc_owner[grant] = (i, v)
                     vc.out_vc = grant
-                link = op.link
+                    credits = op.credits
+                    vc.out_credit = (None if credits is None
+                                     else credits[grant])
                 if now < link.disabled_until or now < link.free_at:
                     continue
-                credits = op.credits
-                if credits is not None and credits[vc.out_vc].available <= 0:
+                credit = vc.out_credit
+                if credit is not None and credit.available <= 0:
                     continue
-                if nreq == 0:
+                if out0 < 0:
                     out0, i0, v0 = out_idx, i, v
-                    nreq = 1
                     continue
+                num_vcs = self.num_vcs
                 if requests is None:
                     requests = self._requests
                     requests.clear()
-                    requests[out0] = [(i0, v0)]
+                    requests[out0] = [i0 * num_vcs + v0]
                 reqs = requests.get(out_idx)
                 if reqs is None:
-                    requests[out_idx] = [(i, v)]
+                    requests[out_idx] = [i * num_vcs + v]
                 else:
-                    reqs.append((i, v))
-        for out_idx in (bits[pressured] if pressured < _BITS_LIMIT
-                        else _wide_bits(pressured)):
-            outputs[out_idx].link.pressure_accum += 1.0
+                    reqs.append(i * num_vcs + v)
 
-        if nreq == 0:
+        if out0 < 0:
             if not self._active_mask and self.registry is not None:
                 self.registry.discard(self)
             return _NO_FORWARDS
@@ -572,15 +593,16 @@ class Router:
         forwarded: list[tuple[int, Flit]] = []
         num_vcs = self.num_vcs
         for out_idx, reqs in requests.items():
+            # Contested arbitration: two or more requesters for one output
+            # port.  Measured on 11% of router steps on splash_trace
+            # (23,210 of 203,941) and 46% on figure_sweep (45,884 of
+            # 98,889), so the request lists already hold the arbiter's
+            # encoded indices and no list is built here.
             if len(reqs) == 1:
-                winner_port, winner_vc = reqs[0]
+                encoded = reqs[0]
             else:
-                encoded = outputs[out_idx].arbiter.grant(
-                    # Contested-arbitration branch: >=2 requesters for one
-                    # output port, measured at <2% of router steps.
-                    [p * num_vcs + v for p, v in reqs]  # repro: noqa[HP004] cold branch, see above
-                )
-                winner_port, winner_vc = divmod(encoded, num_vcs)
+                encoded = outputs[out_idx].arbiter.grant(reqs)
+            winner_port, winner_vc = divmod(encoded, num_vcs)
             forwarded.append(
                 (out_idx, self._forward(out_idx, winner_port, winner_vc, now))
             )
@@ -595,7 +617,6 @@ class Router:
 
         Returns the forwarded flit (already pushed onto the output link).
         """
-        op = self.outputs[out_idx]
         port = self.inputs[winner_port]
         vc = port.vcs[winner_vc]
         buf = vc.buffer
@@ -606,12 +627,23 @@ class Router:
         buf._last_event = now
         flit = fifo.popleft()
         port.occupancy -= 1
+        if not fifo:
+            port.nonempty &= ~(1 << winner_vc)
+            if not port.nonempty:
+                self._active_mask &= ~(1 << winner_port)
         flit.vc = vc.out_vc
-        if op.credits is not None:
-            op.credits[vc.out_vc].consume()
+        # Credit accounting inlined; the methods run only to raise.
+        credit = vc.out_credit
+        if credit is not None:
+            if credit.available <= 0:
+                credit.consume()  # raises the underflow diagnostic
+            credit.available -= 1
         if port.upstream_credits is not None:
-            port.upstream_credits[winner_vc].refill()
-        link = op.link
+            credit = port.upstream_credits[winner_vc]
+            if credit.available >= credit.capacity:
+                credit.refill()  # raises the overflow diagnostic
+            credit.available += 1
+        link = self._out_links[out_idx]
         if now < link.disabled_until or now < link.free_at:
             link.push(flit, now)  # unreachable (scan gate); raises
         service_time = link.service_time
@@ -619,18 +651,18 @@ class Router:
         link.busy_accum += service_time
         link.flits_carried += 1
         arrival = link.free_at + link.propagation_cycles
+        if flit.is_tail:
+            self.outputs[out_idx].vc_owner[vc.out_vc] = None
+            vc.release()
+        else:
+            vc.eligible_at = now + 1.0
+            if link.body_runs and not link.delivery_hooks:
+                # An ejection body flit: its node sink ignores it, so it
+                # joins the link's run instead of being filed.
+                link.last_arrival = arrival
+                return flit
         link._in_flight.append((arrival, flit))
         calendar = link.calendar
         if calendar is not None:
             calendar[ceil(arrival)].append(link.link_id)
-        if flit.is_tail:
-            op.vc_owner[vc.out_vc] = None
-            vc.route_out = -1
-            vc.out_vc = -1
-        else:
-            vc.eligible_at = now + 1.0
-        if buf.is_empty:
-            port.nonempty &= ~(1 << winner_vc)
-            if not port.nonempty:
-                self._active_mask &= ~(1 << winner_port)
         return flit

@@ -16,8 +16,10 @@ fixed phase order chosen so every component sees a consistent picture:
    laser epochs, power sampling and the stall watchdog.
 
 The engine makes each phase cost O(active components), not O(network):
-every flit pushed onto a link is filed in a per-cycle arrival calendar
-(:class:`~repro.engine.schedule.DeliverySchedule`), routers and nodes
+every flit pushed onto a link with a hand-over to make is filed in a
+per-cycle arrival calendar
+(:class:`~repro.engine.schedule.DeliverySchedule`; ejection body flits,
+which node sinks ignore, travel as runs and are not), routers and nodes
 register into :class:`~repro.engine.active.ActiveSet` registries while
 they hold work and are skipped otherwise, and the power manager's
 periodic work is event-scheduled on an
@@ -45,7 +47,7 @@ from repro.engine.hooks import HookRegistry
 from repro.engine.schedule import DeliverySchedule
 from repro.engine.wheel import PRI_WATCHDOG, EventWheel
 from repro.errors import ConfigError, SimulationError
-from repro.network.links import Link
+from repro.network.links import EJECTION, Link
 from repro.network.stats import StatsCollector
 from repro.network.topology import NetworkFabric, Node
 from repro.traffic.base import TrafficSource
@@ -241,9 +243,6 @@ class Simulator:
         self._calendar = DeliverySchedule()
         self._active_routers = ActiveSet(_router_key)
         self._active_nodes = ActiveSet(_node_key)
-        buckets = self._calendar.buckets
-        for link in self.network.links:
-            link.calendar = buckets
         for router in self.network.routers:
             router.registry = self._active_routers
         for node in self.network.nodes:
@@ -263,6 +262,17 @@ class Simulator:
             )
         if config.stall_limit_cycles:
             StallWatchdog(self, config.stall_limit_cycles).attach()
+        buckets = self._calendar.buckets
+        delivery_hooks = self.hooks.delivery
+        for link in self.network.links:
+            link.calendar = buckets
+            # Alias (not copy), like ``stats.packet_hooks``: a hook added
+            # later still turns the link's body runs back into filing.
+            link.delivery_hooks = delivery_hooks
+            # Fault state is attached above, before any flit moves, and
+            # stays for the run; a faulty link files every flit so each
+            # one takes its CRC trial.
+            link.body_runs = link.kind == EJECTION and link.faults is None
 
     def step(self) -> None:
         """Advance the system by one router cycle."""
@@ -291,6 +301,11 @@ class Simulator:
         leave its deque front first.  Fault-injected links hand their due
         flits to the fault state's filter (CRC trials, retransmission)
         once per entry; entries that find nothing due are no-ops.
+
+        Without ``delivery`` hooks, a fault-free link with a ``sink``
+        (every router-bound link) has its flit pushed straight into the
+        router's VC buffer: :meth:`Router.receive_flit`, inlined, which
+        it still calls to raise its diagnostics.
         """
         due = self._calendar.pop_due(now)
         if not due:
@@ -301,12 +316,33 @@ class Simulator:
             for link_id in due:
                 link = links[link_id]
                 faults = link.faults
-                if faults is None:
-                    link.deliver(link._in_flight.popleft()[1], now)
-                else:
+                if faults is not None:
                     deliver = link.deliver
                     for flit in faults.filter_arrivals(now):
                         deliver(flit, now)
+                    continue
+                flit = link._in_flight.popleft()[1]
+                sink = link.sink
+                if sink is None:
+                    link.deliver(flit, now)
+                    continue
+                router, port, ip = sink
+                vc = flit.vc
+                if not 0 <= vc < router.num_vcs:
+                    router.receive_flit(port, flit, now)  # raises
+                if not router._active_mask and router.registry is not None:
+                    router.registry.add(router)
+                buf = ip.vcs[vc].buffer
+                fifo = buf._fifo
+                held = len(fifo)
+                if held >= buf.capacity:
+                    buf.push(flit, now)  # raises the credit diagnostic
+                buf._occ_integral += held * (now - buf._last_event)
+                buf._last_event = now
+                fifo.append(flit)
+                ip.nonempty |= 1 << vc
+                ip.occupancy += 1
+                router._active_mask |= 1 << port
             return
         # Observed path: hand over all of one link's due flits, then fire
         # the hooks for them (a link's entries are adjacent after the

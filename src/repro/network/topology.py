@@ -97,7 +97,7 @@ class Node:
         credits = self.credits[self._vc]
         if credits.available <= 0:
             return
-        credits.consume()
+        credits.available -= 1  # CreditCounter.consume; gated just above
         flit.vc = self._vc
         queue.popleft()
         # link.push inlined (the gate above already verified acceptance).
@@ -198,7 +198,7 @@ class NetworkFabric:
 
                 inject = self._new_link(INJECTION)
                 in_port = router.inputs[local]
-                inject.deliver = _make_router_sink(router, local)
+                _wire_router_sink(inject, router, local)
                 credits = self._vc_credits()
                 in_port.upstream_credits = credits
                 node.link = inject
@@ -233,7 +233,7 @@ class NetworkFabric:
                 link = self._new_link(MESH)
                 in_port_idx = locals_ + OPPOSITE[direction]
                 in_port = neighbour.inputs[in_port_idx]
-                link.deliver = _make_router_sink(neighbour, in_port_idx)
+                _wire_router_sink(link, neighbour, in_port_idx)
                 credits = self._vc_credits()
                 in_port.upstream_credits = credits
                 router.attach_output(
@@ -302,14 +302,15 @@ class NetworkFabric:
         return sum(node.pending_flits for node in self.nodes)
 
 
-def _make_router_sink(router: Router, port: int):
-    """Bind a delivery callback for a link feeding ``router``'s ``port``.
+def _wire_router_sink(link: Link, router: Router, port: int) -> None:
+    """Point ``link`` at ``router``'s input ``port``.
 
-    A C-level ``partial`` rather than a Python closure: the callback runs
-    once per delivered flit, and the extra interpreter frame a closure
-    would add is pure overhead on the deliver phase.
+    ``deliver`` is a C-level ``partial`` rather than a Python closure
+    (no extra interpreter frame per flit); ``sink`` lets the unhooked
+    deliver phase skip even that call.
     """
-    return partial(router.receive_flit, port)
+    link.deliver = partial(router.receive_flit, port)
+    link.sink = (router, port, router.inputs[port])
 
 
 #: Backwards-compatible name from when the builder hard-coded the 2-D

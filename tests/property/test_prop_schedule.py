@@ -58,6 +58,7 @@ class TestExactlyOnceInOrder:
         for link in sim.network.links:
             link.deliver = (lambda link_id: lambda flit, now: events.append(
                 ("deliver", now, link_id, flit)))(link.link_id)
+            link.sink = None
         if hooked:
             sim.hooks.add("delivery", lambda link, flit, now: events.append(
                 ("hook", now, link.link_id, flit)))

@@ -70,6 +70,20 @@ class TestLadderQueries:
         assert ladder.level_for_rate(99e9) == 5
 
 
+    def test_down_ratios_match_the_rate_quotients(self, ladder):
+        # Bit-identical to dividing the rates per window, as before.
+        assert ladder.down_ratios[0] == 1.0
+        for level in range(1, ladder.num_levels):
+            assert ladder.down_ratios[level] == \
+                ladder.rate(level) / ladder.rate(level - 1)
+        wide = BitRateLadder.paper_wide()
+        assert wide.down_ratios[1] == wide.rate(1) / wide.rate(0)
+
+    def test_down_ratios_stay_out_of_equality(self, ladder):
+        assert ladder == BitRateLadder.paper_default()
+        assert "down_ratios" not in repr(ladder)
+
+
 class TestOpticalBands:
     def test_paper_three_level(self):
         bands = OpticalBands.paper_three_level()

@@ -486,6 +486,39 @@ class TestQuietLinkParking:
         self._drive(twins, 451, 501, slow)
         assert pal.last_bu > 0.0
 
+    def test_run_body_flit_in_flight_blocks_parking(self):
+        # A router moves an ejection body flit as a run (never filed in
+        # the link's deque) during the route phase of a boundary cycle:
+        # the window reads Lu = 0 (its busy time is carried), but the
+        # flit is still in flight, so the link must not park; the full
+        # path bills that carried busy time to the next window.
+        twins = self._parked_twins()
+
+        def run_flit(manager, topology, now):
+            if now != 450:
+                return
+            router = topology.routers[0]
+            eject = router.outputs[0].link
+            eject.body_runs = True  # as the simulator arms it
+            flit = Packet(1, 1, 0, 3, 0).make_flits()[1]
+            flit.vc = 0
+            router.inputs[1].upstream_credits[0].consume()
+            router.receive_flit(1, flit, now)
+            vc = router.inputs[1].vcs[0]
+            vc.route_out = vc.out_vc = 0  # latched by the worm's head
+            router._forward(0, 1, 0, now)
+            assert not eject.has_in_flight
+            assert eject.last_arrival > now
+
+        self._drive(twins, self.PARKED_BY + 1, 451, run_flit)
+        plain = twins[0][0]
+        eject = next(pal for pal in plain.links
+                     if pal.link is twins[0][1].routers[0].outputs[0].link)
+        assert eject.last_lu == 0.0 and eject.last_bu == 0.0
+        assert eject.parked_flits == -1
+        self._drive(twins, 451, 501, run_flit)
+        assert eject.last_lu > 0.0
+
     def test_arrival_on_the_boundary_blocks_parking(self):
         # The flit lands exactly at the boundary: zero occupancy time in
         # the closing window, but the buffer is not empty.

@@ -60,6 +60,7 @@ def record_links(sim: Simulator, log: list) -> None:
     for link in sim.network.links:
         link.deliver = (lambda link_id: lambda flit, now:
                         log.append((now, link_id, flit)))(link.link_id)
+        link.sink = None
 
 
 def flits(count: int, packet_id: int = 1):

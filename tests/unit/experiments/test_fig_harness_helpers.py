@@ -154,3 +154,26 @@ class TestWindowSweepScaling:
             sample_interval=100, policy_window_cycles=50,
         )
         assert min(windows_for_scale(tiny)) >= 10
+
+
+class TestThresholdSweepPolicy:
+    def test_points_keep_the_scale_window(self, monkeypatch):
+        # Fig. 5(d-f) points must run the scale's policy window (whose
+        # transition delays the scale sizes), not the paper's Tw=1000.
+        captured = []
+
+        def fake_run_sweep(points, **kwargs):
+            captured.extend(points)
+            return [None] * len(points)
+
+        monkeypatch.setattr(fig5, "run_sweep", fake_run_sweep)
+        scale = get_scale("smoke")
+        fig5.threshold_sweep(scale, averages=(0.45, 0.65))
+        aware = [p for p in captured if p.power is not None]
+        assert len(aware) == 2 * len(fig5.reference_rates(scale.network))
+        for point in aware:
+            policy = point.power.policy
+            assert policy.window_cycles == scale.policy_window_cycles
+            assert policy.threshold_high_uncongested \
+                - policy.threshold_low_uncongested == pytest.approx(0.1)
+

@@ -1,8 +1,11 @@
 """Unit tests for the cycle-driven simulator core."""
 
+from math import ceil
+
 import pytest
 
 from repro.errors import ConfigError
+from repro.network.links import EJECTION
 from repro.network.simulator import Simulator
 from repro.traffic.base import TrafficSource
 from repro.traffic.trace import TraceRecord, TraceReplaySource
@@ -163,6 +166,47 @@ class TestHooks:
         # may still route through the router): every hop is observed.
         assert len(seen) >= 8
         assert all(now <= sim.cycle for _, _, now in seen)
+
+    def test_delivery_hook_sees_each_ejection_flit_on_arrival(
+            self, tiny_sim_config):
+        # Unhooked, ejection body flits travel as runs and are never
+        # handed over.  A delivery hook restores per-flit filing: it sees
+        # every ejection hand-over, each at the cycle its flit arrives,
+        # and the run's results do not change.
+        nodes = tiny_sim_config.network.num_nodes
+        records = [TraceRecord(cycle, cycle % nodes, (cycle * 7 + 3) % nodes,
+                               12)
+                   for cycle in range(0, 120, 3)
+                   if cycle % nodes != (cycle * 7 + 3) % nodes]
+
+        def build():
+            return Simulator(tiny_sim_config,
+                             TraceReplaySource(nodes, list(records)))
+
+        hooked = build()
+        ejection = [link for link in hooked.network.links
+                    if link.kind == EJECTION]
+        seen = []
+        hooked.hooks.add("delivery", lambda link, flit, now: seen.append(
+            (link.link_id, flit.packet.packet_id, flit.index, now)))
+        due = {}
+        for _ in range(3000):
+            for link in ejection:
+                for arrival, flit in link._in_flight:
+                    due[(link.link_id, flit.packet.packet_id,
+                         flit.index)] = ceil(arrival)
+            hooked.step()
+        assert hooked._is_drained()
+        ejected = [event for event in seen if event[:3] in due]
+        assert len(ejected) == len(due) == sum(
+            link.flits_carried for link in ejection) == 12 * len(records)
+        assert all(event[3] == due[event[:3]] for event in ejected)
+        assert all(link.last_arrival == 0.0 for link in ejection)
+
+        plain = build()
+        plain.run(3000)
+        assert max(link.last_arrival for link in plain.network.links) > 0.0
+        assert plain.summary() == hooked.summary()
 
     def test_phase_profiler_times_real_run(self, tiny_baseline_config):
         from repro.engine import PhaseProfiler

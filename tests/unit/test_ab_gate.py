@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -11,10 +12,12 @@ ab_gate = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(ab_gate)
 
 
-def record(cpu_s: float, correct: bool = True, failed: int = 0) -> dict:
+def record(cpu_s: float, correct: bool = True, failed: int = 0,
+           digest: str = "d1") -> dict:
     """A simbench result object with only the fields the gate reads."""
     return {"correct": correct, "attempted": 40, "failed": failed,
-            "metrics": {"cpu_s": {"value": cpu_s, "unit": "s"}}}
+            "metrics": {"cpu_s": {"value": cpu_s, "unit": "s"}},
+            "info": {"workload": "w", "seed": 1, "digest": [digest]}}
 
 
 def pairs_at(ratios: list[float]) -> list[tuple[dict, dict]]:
@@ -61,3 +64,26 @@ def test_the_gate_runs_the_benchmark_workloads():
     declared = json.loads((_ROOT / "BENCHMARK.json").read_text())
     assert ab_gate.WORKLOADS == tuple(
         w["name"] for w in declared["workloads"])
+
+
+def test_digests_are_reported_not_gated():
+    same = (record(1.0), record(1.0))
+    changed = (record(1.0), record(1.0, digest="d2"))
+    assert ab_gate.digest_note(*same) == "digest equal"
+    assert ab_gate.digest_note(*changed) == "digest CHANGED"
+    assert ab_gate.verdict("w", [changed] * 5) == []
+
+
+def test_run_simbench_reads_the_info_line(tmp_path, monkeypatch):
+    info = {"workload": "w", "seed": 3, "digest": ["abc"], "host": {}}
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    stdout = json.dumps({"info": info}) + "\n" + json.dumps(result) + "\n"
+
+    def fake_run(command, **kwargs):
+        return subprocess.CompletedProcess(command, 0, stdout, "")
+
+    monkeypatch.setattr(ab_gate.subprocess, "run", fake_run)
+    got = ab_gate.run_simbench(tmp_path, "w", 3)
+    assert got["info"]["digest"] == ["abc"]
+    assert got["correct"] is True
+
