@@ -58,15 +58,11 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         "Link.push",
         "Link.reset",
     }),
-    # Topology route/class relations run once per (router, destination)
-    # when route tables build, but they are also the `_route_slow`
-    # fallback after link failures — keep them allocation-free.
-    "repro/network/topologies/mesh.py": frozenset({
+    # The routing relation runs once per (router, destination) when
+    # route tables build, but it is also the `_route_slow` fallback
+    # after link failures — keep it allocation-free.
+    "repro/network/mesh.py": frozenset({
         "MeshTopology.route_direction",
-    }),
-    "repro/network/topologies/torus.py": frozenset({
-        "TorusTopology.route_direction",
-        "TorusTopology.vc_class",
     }),
     # The arrival calendar: popped once per cycle, filed into once per
     # filed flit-hop (Link.push, Node.step, Router._forward) and once per

@@ -25,12 +25,7 @@ import sys
 
 from repro.config import MODULATOR, VCSEL
 from repro.errors import ConfigError
-from repro.experiments.configs import (
-    get_scale,
-    power_config,
-    reference_rates,
-    scale_with_topology,
-)
+from repro.experiments.configs import get_scale, power_config, reference_rates
 from repro.experiments.fig5 import uniform_factory
 from repro.experiments.fig6 import hotspot_factory
 from repro.units import gbps
@@ -43,9 +38,6 @@ def _add_run_parser(subparsers) -> None:
         "run", help="simulate one configuration and print the summary")
     parser.add_argument("--scale", default="smoke",
                         choices=["smoke", "bench", "paper"])
-    parser.add_argument("--topology", default="mesh", metavar="NAME",
-                        help="network topology (mesh, torus, cmesh, line; "
-                             "default: mesh)")
     parser.add_argument("--traffic", default="uniform",
                         choices=["uniform", "hotspot", "splash"])
     parser.add_argument("--rate", type=float, default=None,
@@ -135,9 +127,6 @@ def _add_sweep_parser(subparsers) -> None:
                         choices=["window", "threshold", "ablation", "faults"])
     parser.add_argument("--scale", default="smoke",
                         choices=["smoke", "bench", "paper"])
-    parser.add_argument("--topology", default="mesh", metavar="NAME",
-                        help="network topology for every sweep point "
-                             "(default: mesh)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the sweep points "
@@ -223,7 +212,7 @@ def _command_run(args) -> int:
               "(a single trace file cannot hold two runs)",
               file=sys.stderr)
         return 2
-    scale = scale_with_topology(get_scale(args.scale), args.topology)
+    scale = get_scale(args.scale)
     if args.traffic == "uniform":
         rate = args.rate if args.rate is not None else \
             reference_rates(scale.network)["light"]
@@ -265,7 +254,7 @@ def _command_run(args) -> int:
         )
     print(f"{workload} on {scale.network.mesh_width}x"
           f"{scale.network.mesh_height}x{scale.network.nodes_per_cluster} "
-          f"{scale.network.topology}, {args.technology} links ...")
+          f"mesh, {args.technology} links ...")
     if args.baseline:
         aware, baseline, normalised = run_pair(
             scale, power, factory, label="cli", seed=args.seed,
@@ -448,7 +437,7 @@ def _print_journal_report(journal_path) -> None:
 
 
 def _command_sweep(args) -> int:
-    scale = scale_with_topology(get_scale(args.scale), args.topology)
+    scale = get_scale(args.scale)
     if args.jobs < 0:
         print(f"error: --jobs must be >= 0, got {args.jobs}",
               file=sys.stderr)

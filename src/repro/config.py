@@ -38,13 +38,8 @@ ROUTER_FREQUENCY_HZ = 625e6
 class NetworkConfig:
     """Parameters of the clustered network substrate.
 
-    ``mesh_width x mesh_height x nodes_per_cluster`` describes the node
-    population; ``topology`` selects how those nodes are wired (see
-    ``docs/topologies.md``).  The node count is topology-invariant: a
-    ``cmesh`` collapses ``concentration^2`` racks per router and a
-    ``line`` unrolls the grid into one row, but every topology hosts
-    exactly ``mesh_width * mesh_height * nodes_per_cluster`` nodes so
-    traffic patterns stay comparable across the topology axis.
+    A ``mesh_width x mesh_height`` mesh of racks, each a router serving
+    ``nodes_per_cluster`` nodes (see :mod:`repro.network.mesh`).
     """
 
     mesh_width: int = 8
@@ -56,17 +51,10 @@ class NetworkConfig:
     router_frequency_hz: float = ROUTER_FREQUENCY_HZ
     head_pipeline_delay: int = 3
     link_propagation_cycles: float = 1.0
-    #: Network shape: "mesh" (paper default), "torus", "cmesh" or "line"
-    #: (see :mod:`repro.network.topologies`).
-    topology: str = "mesh"
-    #: Racks-per-router side length for the "cmesh" topology (ignored by
-    #: the others): a c x c block of racks shares one router.
-    concentration: int = 2
 
     def __post_init__(self) -> None:
         for name in ("mesh_width", "mesh_height", "nodes_per_cluster",
-                     "buffer_depth", "flit_width_bits", "num_vcs",
-                     "concentration"):
+                     "buffer_depth", "flit_width_bits", "num_vcs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.buffer_depth < self.num_vcs:
@@ -80,30 +68,14 @@ class NetworkConfig:
             raise ConfigError("head_pipeline_delay must be >= 0")
         if self.link_propagation_cycles < 0:
             raise ConfigError("link_propagation_cycles must be >= 0")
-        # Resolve the named topology once: rejects unknown names (listing
-        # the known ones) and shape/VC combinations the topology cannot
-        # host, at configuration time rather than mid-build.  Imported
-        # lazily — the topology registry sits below this module.
-        from repro.network.topologies import get_topology
-
-        get_topology(self)
 
     @property
     def num_routers(self) -> int:
-        """Router count under the configured topology."""
-        if self.topology == "cmesh":
-            return ((self.mesh_width // self.concentration)
-                    * (self.mesh_height // self.concentration))
         return self.mesh_width * self.mesh_height
 
     @property
     def num_nodes(self) -> int:
         return self.mesh_width * self.mesh_height * self.nodes_per_cluster
-
-    @property
-    def nodes_per_router(self) -> int:
-        """Locals per router (== nodes_per_cluster except under cmesh)."""
-        return self.num_nodes // self.num_routers
 
     @property
     def cycle_time_s(self) -> float:
@@ -270,8 +242,8 @@ class PowerAwareConfig:
     #: Arm the LINK_OFF sleep rung below ladder level 0: a link whose
     #: policy keeps voting down while fully idle powers off (zero watts)
     #: and pays ``transitions.link_off_wake_cycles`` of disabled time on
-    #: wake.  Which link kinds may sleep is gated per-topology
-    #: (:meth:`repro.network.topologies.base.Topology.link_off_allowed`).
+    #: wake.  Only node-facing links may sleep
+    #: (:meth:`repro.network.mesh.MeshTopology.link_off_allowed`).
     #: Off by default — the paper's ladder stops at level 0.
     link_off: bool = False
 
@@ -341,15 +313,12 @@ class SimulationConfig:
 
 
 def small_network(width: int = 4, height: int = 4,
-                  nodes_per_cluster: int = 2,
-                  topology: str = "mesh") -> NetworkConfig:
+                  nodes_per_cluster: int = 2) -> NetworkConfig:
     """A scaled-down network for tests and fast benchmarks.
 
     The pure-Python simulator runs the paper's full 8x8x8 system, but at
     ~10^4 cycles/s; tests and the shape-checking benchmarks use this smaller
-    instance and EXPERIMENTS.md records the scaling.  ``topology`` selects
-    the substrate shape (mesh/torus/cmesh/line) on the same node count.
+    instance and EXPERIMENTS.md records the scaling.
     """
     return NetworkConfig(mesh_width=width, mesh_height=height,
-                         nodes_per_cluster=nodes_per_cluster,
-                         topology=topology)
+                         nodes_per_cluster=nodes_per_cluster)

@@ -144,8 +144,7 @@ class NetworkPowerManager:
         self._fabric_topology = topology.topology
         if config.link_off:
             # Arm the LINK_OFF sleep rung where the topology allows it
-            # (mesh links only wake via demand pressure, which some
-            # topologies cannot generate on every link kind).
+            # (node-facing links only; see MeshTopology.link_off_allowed).
             fabric_topology = self._fabric_topology
             for pal in self.links:
                 pal.can_sleep = fabric_topology.link_off_allowed(pal.link.kind)

@@ -125,21 +125,6 @@ def get_scale(name: str) -> ExperimentScale:
         ) from None
 
 
-def scale_with_topology(scale: ExperimentScale,
-                        topology: str) -> ExperimentScale:
-    """A copy of ``scale`` whose network runs the named topology.
-
-    Node count, run length and every time constant are unchanged — the
-    topology axis varies only the substrate, so sweep comparisons across
-    topologies are apples-to-apples.  Unknown names raise
-    :class:`~repro.errors.ConfigError` (from the topology registry, which
-    lists the known ones).
-    """
-    if topology == scale.network.topology:
-        return scale
-    return replace(scale, network=replace(scale.network, topology=topology))
-
-
 def power_config(scale: ExperimentScale, *, technology: str = VCSEL,
                  min_bit_rate: float = 5e9, optical_levels: int = 1,
                  policy: PolicyConfig | None = None,

@@ -12,14 +12,14 @@ This module keeps a small per-process cache of fully built
 (a frozen dataclass, so the key is exact content equality, not identity).
 Everything else a point varies is handled by
 :meth:`~repro.network.simulator.Simulator.reset`, whose hard contract is
-bit-identity with fresh construction (hypothesis-tested over all four
-topologies, with and without faults): power policy scalars are swapped
+bit-identity with fresh construction (hypothesis-tested over mesh
+shapes, with and without faults): power policy scalars are swapped
 into the reused power manager, a structurally different power config
 rebuilds just the manager on the warm fabric, and fault configs rebuild
 the reliability layer per run.
 
 The cache composes with the deeper per-process memos — topology
-instances (:mod:`repro.network.topologies`), per-router route tables
+instances (:func:`repro.network.mesh.get_topology`), per-router route tables
 (``Router.build_route_table``'s copy-on-write cache) and
 :class:`~repro.core.tables.OperatingPointTable` — so even a *cold*
 simulator construction after the first reuses the expensive immutable

@@ -13,19 +13,15 @@ from collections.abc import Callable
 
 from repro.config import NetworkConfig
 from repro.errors import ConfigError
-from repro.network.topologies import get_topology
+from repro.network.mesh import get_topology
 
 
 def mean_hop_count(network: NetworkConfig) -> float:
     """Average minimal router-to-router hops under uniform traffic.
 
-    Delegated to the configured topology, whose analytic model knows its
-    own distance function — Manhattan distance on the mesh (where this
-    reproduces the legacy ``(w^2-1)/(3w) + (h^2-1)/(3h)`` closed form
-    bit-identically), ring distance under torus wrap-around (where
-    Manhattan would silently overestimate), the concentrated grid for
-    cmesh.  Self-pairs are included — for clustered systems the self-pair
-    is a real route (two nodes in the same rack).
+    The mean Manhattan distance ``(w^2-1)/(3w) + (h^2-1)/(3h)``.
+    Self-pairs are included — for clustered systems the self-pair is a
+    real route (two nodes in the same rack).
     """
     return get_topology(network).mean_min_hops()
 

@@ -33,7 +33,7 @@ from repro.network.flit import Flit
 from repro.network.links import Link
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle guard)
-    from repro.network.topologies.base import Topology
+    from repro.network.mesh import MeshTopology
 
 #: Shared empty result for step calls that forward nothing (the common
 #: case) — callers treat the return value as read-only.
@@ -43,15 +43,9 @@ _NO_FORWARDS: list[tuple[int, "Flit"]] = []
 #: The allocation scan iterates these precomputed tuples instead of
 #: peeling bits arithmetically (``mask & -mask`` / ``bit_length``), which
 #: costs four interpreter operations per member per cycle.  Grown on
-#: demand by :func:`_ensure_bits` to cover ``1 << num_ports`` entries.
+#: demand by :func:`_ensure_bits` to cover ``1 << num_ports`` entries;
+#: the table is exponential in width, so routers cap ports and VCs at 16.
 _BITS: list[tuple[int, ...]] = [()]
-
-#: Masks at or above this (more than 16 set-bit positions) have no
-#: precomputed expansion — the table would be exponential in port count,
-#: and a concentrated cmesh rack has ``P*c^2 + 4`` ports.  Such masks
-#: take :func:`_wide_bits`; every mask on narrower routers (every mesh,
-#: torus and line configuration) still indexes :data:`_BITS` directly.
-_BITS_LIMIT = 1 << 16
 
 
 def _ensure_bits(limit: int) -> None:
@@ -62,39 +56,16 @@ def _ensure_bits(limit: int) -> None:
         _BITS.append(low + tuple(b + 1 for b in _BITS[n >> 1]))
 
 
-def _wide_bits(mask: int) -> list[int]:
-    """Ascending set-bit indices of a mask too wide for :data:`_BITS`.
-
-    16-bit chunked decode through the precomputed table, preserving the
-    canonical ascending order the allocation scan's tie-breaks rely on.
-    """
-    out = []
-    base = 0
-    bits = _BITS
-    while mask:
-        word = mask & 0xFFFF
-        if word:
-            for bit in bits[word]:
-                out.append(base + bit)
-        mask >>= 16
-        base += 16
-    return out
-
-
 class VirtualChannel:
     """Per-VC state at an input port: buffer + wormhole route/VC latches."""
 
-    __slots__ = ("buffer", "route_out", "eligible_at", "out_vc", "vc_class",
-                 "out_credit")
+    __slots__ = ("buffer", "route_out", "eligible_at", "out_vc", "out_credit")
 
     def __init__(self, buffer: InputBuffer):
         self.buffer = buffer
         self.route_out = -1
         self.eligible_at = 0.0
         self.out_vc = -1
-        #: VC class latched at RC time (deadlock-avoidance band the next
-        #: hop's VC must come from); always 0 on single-class topologies.
-        self.vc_class = 0
         #: The downstream VC's credit counter (None on ejection ports),
         #: latched with ``out_vc`` at VC allocation and cleared with it
         #: at the tail, so the per-flit scan and traversal skip the
@@ -159,19 +130,6 @@ class OutputPort:
                 return index
         return -1
 
-    def free_vc_in(self, lo: int, hi: int) -> int:
-        """Lowest unowned downstream VC in ``[lo, hi)``, or -1 if none.
-
-        The class-restricted variant of :meth:`free_vc`, used by
-        topologies whose deadlock avoidance partitions VCs into bands
-        (torus datelines).
-        """
-        vc_owner = self.vc_owner
-        for index in range(lo, hi):
-            if vc_owner[index] is None:
-                return index
-        return -1
-
 
 class Router:
     """One communication router of the clustered system."""
@@ -180,12 +138,11 @@ class Router:
         "router_id", "x", "y", "num_local", "num_ports",
         "num_vcs", "inputs", "outputs", "head_delay", "topology",
         "_active_mask", "_requests", "_route_table",
-        "_vc_classes", "_class_bounds", "_rc_class",
         "registry", "fault_stats", "_out_links",
     )
 
     def __init__(self, router_id: int, num_local: int, buffer_depth: int,
-                 num_vcs: int, head_delay: int, topology: "Topology"):
+                 num_vcs: int, head_delay: int, topology: "MeshTopology"):
         if num_local < 1:
             raise ConfigError(f"num_local must be >= 1, got {num_local!r}")
         if num_vcs < 1:
@@ -214,12 +171,16 @@ class Router:
         #: gate), before and after its downstream VC is allocated.
         self._out_links: list[Link | None] = [None] * self.num_ports
         self.head_delay = head_delay
+        # The port and VC work-list masks index the precomputed _BITS
+        # table, whose size is exponential in their width.
         if num_vcs > 16:
-            # The per-port VC work-list mask must stay within the
-            # precomputed _BITS table (the port mask may chunk through
-            # _wide_bits, the inner VC scan does not).
             raise ConfigError(f"num_vcs must be <= 16, got {num_vcs!r}")
-        _ensure_bits(min(1 << max(self.num_ports, num_vcs), _BITS_LIMIT))
+        if self.num_ports > 16:
+            raise ConfigError(
+                f"a router has at most 16 ports (12 local), got "
+                f"num_local={num_local!r}"
+            )
+        _ensure_bits(1 << max(self.num_ports, num_vcs))
         #: Bitmask of input ports with buffered flits (the router-local
         #: work-list; invariant: bit ``i`` set <-> ``inputs[i].nonempty``).
         self._active_mask = 0
@@ -233,14 +194,6 @@ class Router:
         #: routers (unit tests), ``-1`` entries fall back to
         #: :meth:`_route_slow`.
         self._route_table: list[int] | None = None
-        #: Per-destination VC-class lookup (same indexing); ``None`` on
-        #: single-class topologies, keeping their allocation path intact.
-        self._vc_classes: list[int] | None = None
-        #: Per-class (lo, hi) VC allocation bands, set with ``_vc_classes``.
-        self._class_bounds: tuple[tuple[int, int], ...] = ((0, num_vcs),)
-        #: Class of the route most recently computed by :meth:`_route`
-        #: (only maintained while ``_vc_classes`` is not None).
-        self._rc_class = 0
         #: Optional active-router registry maintained by the simulator: a
         #: router registers itself while any input port holds flits, so the
         #: routing phase only steps routers with work (see
@@ -281,7 +234,7 @@ class Router:
         self._active_mask |= 1 << port
 
     def build_route_table(self) -> None:
-        """Resolve the topology's routing relation into lookup tables.
+        """Resolve the topology's routing relation into a lookup table.
 
         Called once by the fabric builder **after** all links are wired;
         the RC stage then indexes ``_route_table[dst_router]`` instead of
@@ -295,16 +248,12 @@ class Router:
         otherwise produce entries pointing at dead ports that only
         surface as cryptic stall diagnostics at forward time.
 
-        Multi-class topologies (torus datelines) additionally get a
-        per-destination VC-class table and the per-class allocation
-        bands the switch-allocation stage restricts VC grants to.
-
-        The resolved tables are memoised on the (shared, stateless)
-        topology instance, keyed by everything they depend on, because
+        The resolved table is memoised on the (shared, stateless)
+        topology instance, keyed by everything it depends on, because
         resolving the routing relation for every destination is the
         single most expensive part of fabric construction.  The cached
-        tuples are pristine masters: each build hands out fresh list
-        copies, so :meth:`invalidate_routes_via` (which mutates the
+        tuple is a pristine master: each build hands out a fresh list
+        copy, so :meth:`invalidate_routes_via` (which mutates the
         router's table in place when a link fails) never corrupts the
         cache — copy-on-write by construction.
         """
@@ -313,9 +262,9 @@ class Router:
         if cache is None:
             cache = {}
             topology._route_table_cache = cache
-        cache_key = (self.router_id, self.num_local, self.num_vcs)
-        cached = cache.get(cache_key)
-        if cached is None:
+        cache_key = (self.router_id, self.num_local)
+        master_table = cache.get(cache_key)
+        if master_table is None:
             table = []
             for dst_router in range(topology.num_routers):
                 if dst_router == self.router_id:
@@ -325,28 +274,8 @@ class Router:
                                                      dst_router)
                 table.append(-1 if direction < 0
                              else self.num_local + direction)
-            classes: tuple[int, ...] | None = None
-            bounds: tuple[tuple[int, int], ...] = ((0, self.num_vcs),)
-            num_classes = topology.num_vc_classes
-            if num_classes > 1:
-                if self.num_vcs < num_classes:
-                    raise ConfigError(
-                        f"topology {topology.name!r} needs {num_classes} VC "
-                        f"classes but the router has only {self.num_vcs} VCs"
-                    )
-                classes = tuple(
-                    topology.vc_class(self.router_id, dst_router)
-                    for dst_router in range(topology.num_routers)
-                )
-                num_vcs = self.num_vcs
-                bounds = tuple(
-                    (cls * num_vcs // num_classes,
-                     (cls + 1) * num_vcs // num_classes)
-                    for cls in range(num_classes)
-                )
-            cached = (tuple(table), classes, bounds)
-            cache[cache_key] = cached
-        master_table, master_classes, master_bounds = cached
+            master_table = tuple(table)
+            cache[cache_key] = master_table
         # Wiring is validated on every build (cached or not): a table
         # entry pointing at a dead port would only surface as a cryptic
         # stall diagnostic at forward time.
@@ -359,9 +288,6 @@ class Router:
                     f"after the fabric wires all links"
                 )
         self._route_table = list(master_table)
-        if master_classes is not None:
-            self._vc_classes = list(master_classes)
-            self._class_bounds = master_bounds
 
     def invalidate_routes_via(self, port: int) -> None:
         """Drop cached routes through ``port`` (a link just failed).
@@ -391,7 +317,6 @@ class Router:
                 vc.buffer.reset()
                 vc.release()
                 vc.eligible_at = 0.0
-                vc.vc_class = 0
             if port.upstream_credits is not None:
                 for credit in port.upstream_credits:
                     credit.reset()
@@ -409,7 +334,6 @@ class Router:
             output.arbiter.reset()
         self._active_mask = 0
         self._requests.clear()
-        self._rc_class = 0
         self.registry = None
         self.fault_stats = None
         if self._route_table is not None:
@@ -421,12 +345,7 @@ class Router:
         """Compute the output port for a head flit (the RC stage)."""
         dst_router, dst_local = divmod(flit.packet.dst, self.num_local)
         if dst_router == self.router_id:
-            if self._vc_classes is not None:
-                self._rc_class = 0
             return dst_local
-        vc_classes = self._vc_classes
-        if vc_classes is not None:
-            self._rc_class = vc_classes[dst_router]
         table = self._route_table
         if table is not None:
             out = table[dst_router]
@@ -457,15 +376,8 @@ class Router:
         """Fault-aware fallback when the default route's link is dead.
 
         Walks the topology's fixed detour preference order
-        (:meth:`~repro.network.topologies.base.Topology.fallback_directions`)
+        (:meth:`~repro.network.mesh.MeshTopology.fallback_directions`)
         and takes the first attached, unfailed direction.
-
-        On multi-class topologies the deadlock-avoidance class latched by
-        :meth:`_route` described the *canonical* direction; a detour can
-        leave the fabric travelling a different way (e.g. a torus wrap
-        edge the minimal route never crossed), so the class is re-derived
-        from the direction actually chosen
-        (:meth:`~repro.network.topologies.base.Topology.detour_vc_class`).
         """
         outputs = self.outputs
         num_local = self.num_local
@@ -475,9 +387,6 @@ class Router:
             if op is not None and not op.link.failed:
                 if self.fault_stats is not None:
                     self.fault_stats.reroutes += 1
-                if self._vc_classes is not None:
-                    self._rc_class = self.topology.detour_vc_class(
-                        self.router_id, dst_router, direction)
                 return num_local + direction
         raise SimulationError(
             f"router {self.router_id} is disconnected: every direction "
@@ -509,9 +418,8 @@ class Router:
         out0 = i0 = v0 = -1
         requests = None
         bits = _BITS
-        vc_classes = self._vc_classes
         out_links = self._out_links
-        for i in bits[active] if active < _BITS_LIMIT else _wide_bits(active):
+        for i in bits[active]:
             port = inputs[i]
             vcs = port.vcs
             for v in bits[port.nonempty]:
@@ -530,8 +438,6 @@ class Router:
                             f"routing chose unattached output {out_idx} "
                             f"at router {self.router_id}"
                         )
-                    if vc_classes is not None:
-                        vc.vc_class = self._rc_class
                     vc.eligible_at = now + self.head_delay
                 # Demand pressure: one count per output link per cycle,
                 # however many VCs want it.
@@ -542,15 +448,9 @@ class Router:
                 if now < vc.eligible_at:
                     continue
                 if vc.out_vc < 0:
-                    # VC allocation: claim a free downstream VC — from the
-                    # head's deadlock-avoidance band on multi-class
-                    # topologies, from the full range otherwise.
+                    # VC allocation: claim a free downstream VC.
                     op = outputs[out_idx]
-                    if vc_classes is None:
-                        grant = op.free_vc()
-                    else:
-                        lo, hi = self._class_bounds[vc.vc_class]
-                        grant = op.free_vc_in(lo, hi)
+                    grant = op.free_vc()
                     if grant < 0:
                         continue
                     op.vc_owner[grant] = (i, v)

@@ -178,7 +178,7 @@ class Simulator:
         ones — everything else (seed, policy scalars, transitions,
         warmup/sampling, faults, telemetry) may change freely.
         The contract is bit-identity with fresh construction
-        (hypothesis-tested over every topology, with and without
+        (hypothesis-tested over mesh shapes, with and without
         faults); the payoff is skipping fabric/route-table/operating-
         point construction for every point after a worker's first.
         """

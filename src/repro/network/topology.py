@@ -1,4 +1,4 @@
-"""Network fabric builder: topology geometry -> wired simulation state.
+"""Network fabric builder: mesh geometry -> wired simulation state.
 
 The system is a cluster network of racks (paper Figs. 3-4).  Each rack
 houses processing-node boards and shares a router board; every
@@ -10,10 +10,10 @@ opto-electronic fiber link:
 * **mesh links** — router -> neighbouring router (one per direction the
   topology declares a neighbour in).
 
-Which routers neighbour which — mesh adjacency, torus wrap, cmesh
-concentration — is owned by the :class:`~repro.network.topologies.base.Topology`
-the config names; :class:`NetworkFabric` instantiates routers and nodes,
-asks the topology for the neighbour map, wires the links in a fixed
+Which routers neighbour which is owned by the
+:class:`~repro.network.mesh.MeshTopology` the config describes;
+:class:`NetworkFabric` instantiates routers and nodes, asks the topology
+for the neighbour map, wires the links in a fixed
 deterministic order (locals per router first, then the four directions
 east/west/north/south per router) and finally has every router resolve
 the topology's routing relation into its route table.
@@ -40,7 +40,7 @@ from repro.network.packet import Packet
 from repro.network.router import OutputPort, Router
 from repro.network.routing import EAST, NORTH, OPPOSITE, SOUTH, WEST
 from repro.network.stats import StatsCollector
-from repro.network.topologies import get_topology
+from repro.network.mesh import get_topology
 
 #: (dx, dy) per direction constant, matching :mod:`repro.network.routing`.
 DIRECTION_OFFSETS = {EAST: (1, 0), WEST: (-1, 0), NORTH: (0, -1), SOUTH: (0, 1)}
@@ -277,11 +277,10 @@ class NetworkFabric:
         """Flat node id for (router column, router row, node-at-router).
 
         Used by the hot-spot workload, whose paper description names
-        "node 4 in rack(3,5)".  Coordinates address the *router* grid —
-        under cmesh a "rack" is the concentrated cluster.
+        "node 4 in rack(3,5)".
         """
         topology = self.topology
-        width, height = topology.grid_shape
+        width, height = topology.grid_width, topology.grid_height
         locals_ = topology.nodes_per_router
         if not (0 <= rack_x < width and 0 <= rack_y < height):
             raise ConfigError(
@@ -313,6 +312,5 @@ def _wire_router_sink(link: Link, router: Router, port: int) -> None:
     link.sink = (router, port, router.inputs[port])
 
 
-#: Backwards-compatible name from when the builder hard-coded the 2-D
-#: mesh; the fabric is topology-parameterised now.
+#: The paper's name for the fabric (a clustered 2-D mesh of racks).
 ClusteredMesh = NetworkFabric

@@ -7,8 +7,8 @@ by tests, and cheap enough to run once at simulator construction in
 paranoid setups.
 
 The checks are driven by the fabric's
-:class:`~repro.network.topologies.base.Topology` rather than hard-coded
-mesh geometry, so they hold for every registered shape:
+:class:`~repro.network.mesh.MeshTopology` rather than by the builder's
+own loops:
 
 * **counts** — node and per-kind link populations match the topology;
 * **local wiring** — every node has injection wiring, every link a

@@ -12,7 +12,7 @@ Three cooperating layers:
   budget, ACK timeout and exponential backoff; retries consume real link
   busy-time and energy.
 * **Graceful degradation** — fault-aware routing around dead mesh links
-  (:meth:`~repro.network.topologies.base.Topology.fallback_directions`),
+  (:meth:`~repro.network.mesh.MeshTopology.fallback_directions`),
   BER margin guards vetoing power descents past the reliability target,
   and the :class:`~repro.metrics.reliability.ReliabilityReport` making
   the cost visible.

@@ -8,15 +8,11 @@ Three workload families drive the evaluation:
   hot-spot trace with spatial skew (Fig. 6);
 * :mod:`~repro.traffic.splash` — synthetic SPLASH2-like traces replayed via
   :class:`~repro.traffic.trace.TraceReplaySource` (Fig. 7, Table 3).
-
-:mod:`~repro.traffic.permutation` adds classic permutation patterns as a
-design-space extension.
 """
 
 from repro.traffic.base import DEFAULT_PACKET_SIZE, PoissonSource, TrafficSource
 from repro.traffic.hotspot import HotspotTraffic, Phase, paper_like_schedule
 from repro.traffic.onoff import OnOffTraffic
-from repro.traffic.permutation import PERMUTATIONS, PermutationTraffic
 from repro.traffic.splash import (
     BENCHMARKS,
     envelope_for,
@@ -39,8 +35,6 @@ __all__ = [
     "DEFAULT_PACKET_SIZE",
     "HotspotTraffic",
     "OnOffTraffic",
-    "PERMUTATIONS",
-    "PermutationTraffic",
     "Phase",
     "PoissonSource",
     "TraceRecord",

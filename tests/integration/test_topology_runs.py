@@ -1,13 +1,9 @@
-"""Integration tests: alternative topologies end-to-end, and LINK_OFF.
+"""Integration tests: the LINK_OFF sleep rung end-to-end.
 
-Torus, cmesh and line substrates must run complete power-aware
-simulations (with wiring validation on) and stay deterministic under
-process-parallel sweeps; the LINK_OFF sleep rung must demonstrably be
-reached, billed (zero power while off, a real wake penalty after) and
-left again without losing a single packet.
+The rung must demonstrably be reached, billed (zero power while off, a
+real wake penalty after) and left again without losing a single packet,
+and on the mesh only node-facing links may use it.
 """
-
-import pytest
 
 from repro.config import (
     NetworkConfig,
@@ -16,24 +12,14 @@ from repro.config import (
     SimulationConfig,
     TransitionConfig,
 )
-from repro.experiments.configs import (
-    get_scale,
-    reference_rates,
-    scale_with_topology,
-)
-from repro.experiments.fig5 import uniform_factory
-from repro.experiments.runner import SweepPoint, run_simulation, run_sweep
 from repro.network.links import MESH
 from repro.network.simulator import Simulator
 from repro.traffic.trace import TraceRecord, TraceReplaySource
-from repro.traffic.uniform import UniformRandomTraffic
 
 
-def topo_config(topology, power=None, **net_overrides) -> SimulationConfig:
-    defaults = {"mesh_width": 4, "mesh_height": 4, "nodes_per_cluster": 2,
-                "topology": topology}
-    defaults.update(net_overrides)
-    return SimulationConfig(network=NetworkConfig(**defaults), power=power,
+def mesh_config(power) -> SimulationConfig:
+    network = NetworkConfig(mesh_width=2, mesh_height=2, nodes_per_cluster=2)
+    return SimulationConfig(network=network, power=power,
                             sample_interval=200, validate_topology=True)
 
 
@@ -49,71 +35,6 @@ def fast_power(**overrides) -> PowerAwareConfig:
     )
 
 
-class TestAlternativeSubstrates:
-    @pytest.mark.parametrize("topology", ["torus", "cmesh", "line"])
-    def test_power_aware_run_completes(self, topology):
-        config = topo_config(topology, power=fast_power())
-        traffic = UniformRandomTraffic(config.network.num_nodes, 0.3, seed=11)
-        sim = Simulator(config, traffic)
-        sim.run(5000)
-        stats = sim.stats
-        assert stats.packets_delivered > 0
-        assert stats.packets_delivered + stats.in_flight == \
-            stats.packets_created
-
-    def test_concentrated_racks_run_at_smoke_shape(self):
-        """36-port cmesh routers (smoke scale's 8-node racks, c=2).
-
-        Regression: the work-list bitmask table used to be precomputed
-        for all 2^num_ports masks, which hung construction here.
-        """
-        config = topo_config("cmesh", power=fast_power(),
-                             nodes_per_cluster=8)
-        traffic = UniformRandomTraffic(config.network.num_nodes, 0.6,
-                                       seed=3)
-        sim = Simulator(config, traffic)
-        sim.run(2000)
-        stats = sim.stats
-        assert stats.packets_delivered > 0
-        assert stats.packets_delivered + stats.in_flight == \
-            stats.packets_created
-
-    def test_torus_beats_mesh_on_hops(self):
-        """Wrap links shorten real paths, not just the analytic model."""
-        latencies = {}
-        for topology in ("mesh", "torus"):
-            config = topo_config(topology)
-            nodes = config.network.num_nodes
-            # Corner-to-corner pairs: the torus wraps in one hop.
-            records = [TraceRecord(t, 0, nodes - 1, 4)
-                       for t in range(0, 2000, 50)]
-            sim = Simulator(config, TraceReplaySource(nodes, records))
-            assert sim.run_until_drained(50_000)
-            latencies[topology] = sim.stats.mean_latency
-        assert latencies["torus"] < latencies["mesh"]
-
-    def test_serial_and_parallel_torus_sweeps_identical(self):
-        scale = scale_with_topology(get_scale("smoke"), "torus")
-        rate = reference_rates(scale.network)["light"]
-        points = [
-            SweepPoint(label=f"torus/{seed}", scale=scale,
-                       power=fast_power() if seed % 2 else None,
-                       traffic_factory=uniform_factory(rate),
-                       seed=seed, cycles=2000)
-            for seed in (3, 4)
-        ]
-        serial = run_sweep(points, max_workers=1)
-        parallel = run_sweep(points, max_workers=2)
-        assert serial == parallel
-
-    def test_torus_run_simulation_smoke_scale(self):
-        scale = scale_with_topology(get_scale("smoke"), "torus")
-        rate = reference_rates(scale.network)["light"]
-        result = run_simulation(scale, fast_power(), uniform_factory(rate),
-                                label="torus-smoke", seed=2, cycles=3000)
-        assert result.packets_delivered > 0
-
-
 def burst_idle_burst(nodes):
     """Traffic with a long silent gap for links to sleep through."""
     records = []
@@ -127,13 +48,11 @@ def burst_idle_burst(nodes):
 
 
 class TestLinkOff:
-    def run_pair(self, topology):
+    def run_pair(self):
         """The same burst/idle/burst workload with and without LINK_OFF."""
         out = {}
         for link_off in (False, True):
-            config = topo_config(topology,
-                                 power=fast_power(link_off=link_off),
-                                 mesh_width=2, mesh_height=2)
+            config = mesh_config(fast_power(link_off=link_off))
             traffic, n_packets = burst_idle_burst(config.network.num_nodes)
             sim = Simulator(config, traffic)
             assert sim.run_until_drained(60_000)
@@ -143,7 +62,7 @@ class TestLinkOff:
         return out[False], out[True]
 
     def test_sleep_reached_billed_and_woken(self):
-        plain, sleepy = self.run_pair("mesh")
+        plain, sleepy = self.run_pair()
 
         totals = sleepy.power.sleep_totals()
         assert totals["sleeps"] > 0
@@ -164,14 +83,8 @@ class TestLinkOff:
         assert plain.power.sleep_totals() == {"sleeps": 0, "wakes": 0}
 
     def test_mesh_topology_keeps_fabric_links_awake(self):
-        _, sleepy = self.run_pair("mesh")
+        _, sleepy = self.run_pair()
         for pal in sleepy.power.links:
             if pal.link.kind == MESH:
                 assert pal.engine.sleeps == 0
             assert pal.can_sleep == (pal.link.kind != MESH)
-
-    def test_torus_fabric_links_may_sleep(self):
-        _, sleepy = self.run_pair("torus")
-        mesh_sleeps = sum(p.engine.sleeps for p in sleepy.power.links
-                          if p.link.kind == MESH)
-        assert mesh_sleeps > 0

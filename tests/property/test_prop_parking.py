@@ -7,7 +7,8 @@ closed form instead of re-running the full evaluation.  Attaching a
 without a no-op policy hook compares the parked path against the full
 one.  Both must agree on the run summary, power series, level
 histogram, transition and sleep totals, and every link's window,
-decision and utilisation state — over every topology, idle, light
+decision and utilisation state — over square, wide-router and 1-high
+meshes, idle, light
 uniform and SPLASH trace traffic, LINK_OFF on and off, faults on and
 off, multi-optical modulator links, and warm resets.
 """
@@ -37,17 +38,18 @@ from repro.traffic.splash import generate_splash_trace
 from repro.traffic.trace import TraceReplaySource
 from repro.traffic.uniform import UniformRandomTraffic
 
-TOPOLOGIES = ("mesh", "torus", "cmesh", "line")
+#: (width, height, nodes per rack): a square mesh, a 2x2 mesh of
+#: 8-node racks (12-port routers) and a 1-high mesh.
+SHAPES = ((3, 3, 2), (2, 2, 8), (9, 1, 2))
 TRAFFIC = ("idle", "uniform", "splash")
 CYCLES = 900
 
 
-def network_for(topology: str) -> NetworkConfig:
-    # cmesh concentration (2) must divide the grid dimensions.
-    size = 4 if topology == "cmesh" else 3
-    return NetworkConfig(mesh_width=size, mesh_height=size,
-                         nodes_per_cluster=2, buffer_depth=8, num_vcs=2,
-                         topology=topology)
+def network_for(shape: tuple[int, int, int]) -> NetworkConfig:
+    width, height, locals_ = shape
+    return NetworkConfig(mesh_width=width, mesh_height=height,
+                         nodes_per_cluster=locals_, buffer_depth=8,
+                         num_vcs=2)
 
 
 def make_power(*, history: int = 1, link_off: bool = False,
@@ -71,16 +73,18 @@ def make_power(*, history: int = 1, link_off: bool = False,
     )
 
 
-def mesh_link_ids(topology: str) -> list[int]:
-    fabric = NetworkFabric(network_for(topology), StatsCollector())
+def mesh_link_ids(shape: tuple[int, int, int]) -> list[int]:
+    fabric = NetworkFabric(network_for(shape), StatsCollector())
     return [link.link_id for link in fabric.links if link.kind == MESH]
 
 
-def scenario_faults(topology: str, margin_guard: bool) -> FaultConfig:
+def scenario_faults(shape: tuple[int, int, int],
+                    margin_guard: bool) -> FaultConfig:
     """Scheduled scenarios only: most links keep no fault state, so they
     still park, next to a failed, a degraded and a stuck link."""
-    ids = mesh_link_ids(topology)
-    failures = () if topology == "line" \
+    ids = mesh_link_ids(shape)
+    # A 1-high mesh has no detour around a failed link.
+    failures = () if shape[1] == 1 \
         else (LinkFailure(ids[0], at_cycle=150),)
     return FaultConfig(
         seed=3, ber_injection=False, margin_guard=margin_guard,
@@ -106,9 +110,10 @@ def make_traffic(kind: str, network: NetworkConfig, rate: float, seed: int):
     return TraceReplaySource(nodes, records)
 
 
-def make_config(topology: str, seed: int, power: PowerAwareConfig,
+def make_config(shape: tuple[int, int, int], seed: int,
+                power: PowerAwareConfig,
                 faults: FaultConfig | None = None) -> SimulationConfig:
-    return SimulationConfig(network=network_for(topology), power=power,
+    return SimulationConfig(network=network_for(shape), power=power,
                             seed=seed, sample_interval=25,
                             stall_limit_cycles=50_000, faults=faults)
 
@@ -146,7 +151,7 @@ def run_pair(config: SimulationConfig, traffic_factory):
 class TestParkingIsExact:
     @settings(max_examples=12, deadline=None)
     @given(
-        topology=st.sampled_from(TOPOLOGIES),
+        shape=st.sampled_from(SHAPES),
         traffic=st.sampled_from(TRAFFIC),
         rate=st.floats(min_value=0.005, max_value=0.15),
         history=st.integers(min_value=1, max_value=3),
@@ -155,10 +160,10 @@ class TestParkingIsExact:
         ideal=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_parked_matches_full_path(self, topology, traffic, rate,
+    def test_parked_matches_full_path(self, shape, traffic, rate,
                                       history, link_off, pressure_aware,
                                       ideal, seed):
-        config = make_config(topology, seed,
+        config = make_config(shape, seed,
                              make_power(history=history, link_off=link_off,
                                         pressure_aware=pressure_aware,
                                         ideal=ideal))
@@ -169,29 +174,29 @@ class TestParkingIsExact:
 
     @settings(max_examples=6, deadline=None)
     @given(
-        topology=st.sampled_from(TOPOLOGIES),
+        shape=st.sampled_from(SHAPES),
         traffic=st.sampled_from(TRAFFIC),
         link_off=st.booleans(),
         margin_guard=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_parked_matches_full_path_under_faults(self, topology, traffic,
+    def test_parked_matches_full_path_under_faults(self, shape, traffic,
                                                    link_off, margin_guard,
                                                    seed):
-        config = make_config(topology, seed, make_power(link_off=link_off),
-                             faults=scenario_faults(topology, margin_guard))
+        config = make_config(shape, seed, make_power(link_off=link_off),
+                             faults=scenario_faults(shape, margin_guard))
         parked, full, _ = run_pair(
             config,
             lambda: make_traffic(traffic, config.network, 0.02, seed))
         assert parked == full
 
     @settings(max_examples=4, deadline=None)
-    @given(topology=st.sampled_from(TOPOLOGIES),
+    @given(shape=st.sampled_from(SHAPES),
            seed=st.integers(min_value=0, max_value=2**31))
-    def test_default_faults_never_park(self, topology, seed):
+    def test_default_faults_never_park(self, shape, seed):
         # BER injection gives every link fault state, and the margin
         # guard covers every link: nothing may park.
-        config = make_config(topology, seed, make_power(),
+        config = make_config(shape, seed, make_power(),
                              faults=FaultConfig(seed=3))
         parked, full, windows = run_pair(
             config, lambda: make_traffic("idle", config.network, 0.0, seed))
@@ -199,11 +204,11 @@ class TestParkingIsExact:
         assert windows == 0
 
     @settings(max_examples=4, deadline=None)
-    @given(topology=st.sampled_from(TOPOLOGIES),
+    @given(shape=st.sampled_from(SHAPES),
            traffic=st.sampled_from(TRAFFIC),
            seed=st.integers(min_value=0, max_value=2**31))
-    def test_multi_optical_links_never_park(self, topology, traffic, seed):
-        config = make_config(topology, seed, make_power(optical_levels=3))
+    def test_multi_optical_links_never_park(self, shape, traffic, seed):
+        config = make_config(shape, seed, make_power(optical_levels=3))
         parked, full, windows = run_pair(
             config, lambda: make_traffic(traffic, config.network, 0.02, seed))
         assert parked == full
@@ -211,32 +216,32 @@ class TestParkingIsExact:
 
     def test_idle_runs_do_park(self):
         # The oracle above proves nothing if the parked path never runs.
-        for topology in TOPOLOGIES:
+        for shape in SHAPES:
             for link_off in (False, True):
-                config = make_config(topology, 5,
+                config = make_config(shape, 5,
                                      make_power(link_off=link_off))
                 parked, full, windows = run_pair(
                     config,
                     lambda: make_traffic("idle", config.network, 0.0, 5))
                 assert parked == full
-                assert windows > 0, (topology, link_off)
+                assert windows > 0, (shape, link_off)
 
     @settings(max_examples=5, deadline=None)
     @given(
-        topology=st.sampled_from(TOPOLOGIES),
+        shape=st.sampled_from(SHAPES),
         traffic=st.sampled_from(TRAFFIC),
         link_off=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_warm_reset_after_parked_run(self, topology, traffic, link_off,
+    def test_warm_reset_after_parked_run(self, shape, traffic, link_off,
                                          seed):
         # A simulator that parked links in an idle run, reset onto a new
         # point, must match a freshly built one.
         power = make_power(link_off=link_off)
-        config = make_config(topology, seed, power)
+        config = make_config(shape, seed, power)
         factory = lambda: make_traffic(traffic, config.network, 0.03, seed)  # noqa: E731
         fresh = outputs(Simulator(config, factory()))
-        sim = Simulator(make_config(topology, seed + 1,
+        sim = Simulator(make_config(shape, seed + 1,
                                     make_power(link_off=not link_off)),
                         make_traffic("idle", config.network, 0.0, seed))
         sim.run(CYCLES)

@@ -5,7 +5,8 @@ The warm-worker machinery's hard contract
 points through ONE reused simulator — resetting between points — must
 produce exactly what N freshly constructed simulators produce.  Summary,
 power series, level histogram, transition totals and the full telemetry
-event stream, over every topology, with and without faults.
+event stream, over mesh shapes (square, wide-router and 1-high), with
+and without faults.
 """
 
 import json
@@ -30,15 +31,16 @@ from repro.reliability import FaultConfig, LinkFailure
 from repro.telemetry.config import TelemetryConfig
 from repro.traffic.uniform import UniformRandomTraffic
 
-TOPOLOGIES = ("mesh", "torus", "cmesh", "line")
+#: (width, height, nodes per rack): a square mesh, a 2x2 mesh of
+#: 8-node racks (12-port routers) and a 1-high mesh.
+SHAPES = ((3, 3, 2), (2, 2, 8), (9, 1, 2))
 
 
-def network_for(topology: str) -> NetworkConfig:
-    # cmesh concentration (2) must divide the grid dimensions.
-    size = 4 if topology == "cmesh" else 3
-    return NetworkConfig(mesh_width=size, mesh_height=size,
-                         nodes_per_cluster=2, buffer_depth=8, num_vcs=2,
-                         topology=topology)
+def network_for(shape: tuple[int, int, int]) -> NetworkConfig:
+    width, height, locals_ = shape
+    return NetworkConfig(mesh_width=width, mesh_height=height,
+                         nodes_per_cluster=locals_, buffer_depth=8,
+                         num_vcs=2)
 
 
 def make_power(window: int = 60) -> PowerAwareConfig:
@@ -51,14 +53,14 @@ def make_power(window: int = 60) -> PowerAwareConfig:
     )
 
 
-def make_config(topology: str, seed: int, *, power=None,
+def make_config(shape: tuple[int, int, int], seed: int, *, power=None,
                 faults: FaultConfig | None = None,
                 trace_path: str | None = None) -> SimulationConfig:
     telemetry = None
     if trace_path is not None:
         telemetry = TelemetryConfig(path=trace_path)
     return SimulationConfig(
-        network=network_for(topology),
+        network=network_for(shape),
         power=power,
         seed=seed,
         sample_interval=50,
@@ -81,42 +83,42 @@ def collect(sim: Simulator, cycles: int = 500):
     return results
 
 
-def first_mesh_link_id(topology: str) -> int:
-    fabric = NetworkFabric(network_for(topology), StatsCollector())
+def first_mesh_link_id(shape: tuple[int, int, int]) -> int:
+    fabric = NetworkFabric(network_for(shape), StatsCollector())
     return next(l.link_id for l in fabric.links if l.kind == MESH)
 
 
-def faults_for(topology: str) -> FaultConfig:
-    # The line has no detour redundancy, so it gets a noisy channel
+def faults_for(shape: tuple[int, int, int]) -> FaultConfig:
+    # A 1-high mesh has no detour redundancy, so it gets a noisy channel
     # (retransmissions) instead of a hard kill.
-    if topology == "line":
+    if shape[1] == 1:
         return FaultConfig(seed=3, received_power_w=13e-6)
     return FaultConfig(
         seed=3,
-        failures=(LinkFailure(first_mesh_link_id(topology), at_cycle=200),),
+        failures=(LinkFailure(first_mesh_link_id(shape), at_cycle=200),),
     )
 
 
 class TestResetEquivalence:
     @settings(max_examples=8, deadline=None)
     @given(
-        topology=st.sampled_from(TOPOLOGIES),
+        shape=st.sampled_from(SHAPES),
         rates=st.lists(st.floats(min_value=0.0, max_value=0.4),
                        min_size=2, max_size=4),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_reused_fabric_matches_fresh(self, topology, rates, seed):
+    def test_reused_fabric_matches_fresh(self, shape, rates, seed):
         # N points through one reused simulator vs N fresh simulators.
         fresh = []
         for index, rate in enumerate(rates):
-            config = make_config(topology, seed + index, power=make_power())
+            config = make_config(shape, seed + index, power=make_power())
             traffic = UniformRandomTraffic(config.network.num_nodes, rate,
                                            seed=seed + index)
             fresh.append(collect(Simulator(config, traffic)))
         warm = []
         sim = None
         for index, rate in enumerate(rates):
-            config = make_config(topology, seed + index, power=make_power())
+            config = make_config(shape, seed + index, power=make_power())
             traffic = UniformRandomTraffic(config.network.num_nodes, rate,
                                            seed=seed + index)
             if sim is None:
@@ -128,22 +130,22 @@ class TestResetEquivalence:
 
     @settings(max_examples=6, deadline=None)
     @given(
-        topology=st.sampled_from(TOPOLOGIES),
+        shape=st.sampled_from(SHAPES),
         rate=st.floats(min_value=0.05, max_value=0.4),
         seed=st.integers(min_value=0, max_value=2**31),
         fault_order=st.booleans(),
     )
-    def test_reset_across_fault_boundary(self, topology, rate, seed,
+    def test_reset_across_fault_boundary(self, shape, rate, seed,
                                          fault_order):
         # A faulted run mutates the fabric (failed links, invalidated
         # routes, guard hooks); resetting must fully undo it — and the
         # other way around, resetting INTO a faulted run from a clean one
         # must attach the reliability layer exactly as construction does.
-        faults = faults_for(topology)
+        faults = faults_for(shape)
         sequence = [faults, None] if fault_order else [None, faults]
         fresh = []
         for index, fault in enumerate(sequence):
-            config = make_config(topology, seed + index, power=make_power(),
+            config = make_config(shape, seed + index, power=make_power(),
                                  faults=fault)
             traffic = UniformRandomTraffic(config.network.num_nodes, rate,
                                            seed=seed + index)
@@ -151,7 +153,7 @@ class TestResetEquivalence:
         warm = []
         sim = None
         for index, fault in enumerate(sequence):
-            config = make_config(topology, seed + index, power=make_power(),
+            config = make_config(shape, seed + index, power=make_power(),
                                  faults=fault)
             traffic = UniformRandomTraffic(config.network.num_nodes, rate,
                                            seed=seed + index)
@@ -164,11 +166,11 @@ class TestResetEquivalence:
 
     @settings(max_examples=6, deadline=None)
     @given(
-        topology=st.sampled_from(TOPOLOGIES),
+        shape=st.sampled_from(SHAPES),
         rate=st.floats(min_value=0.05, max_value=0.4),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_reset_swaps_power_policy_scalars(self, topology, rate, seed):
+    def test_reset_swaps_power_policy_scalars(self, shape, rate, seed):
         # Consecutive points differing in policy window (a plain scalar
         # knob) reuse the manager via its in-place reset; a point
         # dropping power entirely and one restoring it exercise the
@@ -176,14 +178,14 @@ class TestResetEquivalence:
         powers = [make_power(60), make_power(80), None, make_power(60)]
         fresh = []
         for index, power in enumerate(powers):
-            config = make_config(topology, seed + index, power=power)
+            config = make_config(shape, seed + index, power=power)
             traffic = UniformRandomTraffic(config.network.num_nodes, rate,
                                            seed=seed + index)
             fresh.append(collect(Simulator(config, traffic), cycles=300))
         warm = []
         sim = None
         for index, power in enumerate(powers):
-            config = make_config(topology, seed + index, power=power)
+            config = make_config(shape, seed + index, power=power)
             traffic = UniformRandomTraffic(config.network.num_nodes, rate,
                                            seed=seed + index)
             if sim is None:
@@ -195,11 +197,11 @@ class TestResetEquivalence:
 
     @settings(max_examples=5, deadline=None)
     @given(
-        topology=st.sampled_from(TOPOLOGIES),
+        shape=st.sampled_from(SHAPES),
         rate=st.floats(min_value=0.05, max_value=0.4),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_telemetry_streams_are_identical(self, topology, rate, seed):
+    def test_telemetry_streams_are_identical(self, shape, rate, seed):
         # Not just the summary: the full recorded event stream — every
         # hook firing, in order — must match between a fresh simulator
         # and a reset one that already ran a different point.
@@ -207,7 +209,7 @@ class TestResetEquivalence:
             fresh_path = os.path.join(tmp, "fresh.jsonl")
             warm_path = os.path.join(tmp, "warm.jsonl")
 
-            config = make_config(topology, seed, power=make_power(),
+            config = make_config(shape, seed, power=make_power(),
                                  trace_path=fresh_path)
             traffic = UniformRandomTraffic(config.network.num_nodes, rate,
                                            seed=seed)
@@ -215,13 +217,13 @@ class TestResetEquivalence:
 
             # Dirty a simulator with an unrelated point, then reset it
             # onto the traced point.
-            dirty_config = make_config(topology, seed + 99,
+            dirty_config = make_config(shape, seed + 99,
                                        power=make_power(80))
             dirty_traffic = UniformRandomTraffic(
                 dirty_config.network.num_nodes, 0.3, seed=seed + 99)
             sim = Simulator(dirty_config, dirty_traffic)
             sim.run(250)
-            config = make_config(topology, seed, power=make_power(),
+            config = make_config(shape, seed, power=make_power(),
                                  trace_path=warm_path)
             traffic = UniformRandomTraffic(config.network.num_nodes, rate,
                                            seed=seed)

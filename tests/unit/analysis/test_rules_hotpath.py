@@ -112,27 +112,25 @@ class TestComprehensionInHotPath:
 
 
 class TestTopologyCoverage:
-    """The topology package sits under the same static-analysis contract."""
+    """The mesh topology sits under the same static-analysis contract."""
 
     def test_topology_route_relations_are_in_the_hot_set(self):
         from repro.analysis.rules.hotpath import HOT_FUNCTIONS
 
         assert "MeshTopology.route_direction" in \
-            HOT_FUNCTIONS["repro/network/topologies/mesh.py"]
-        assert {"TorusTopology.route_direction", "TorusTopology.vc_class"} \
-            <= HOT_FUNCTIONS["repro/network/topologies/torus.py"]
+            HOT_FUNCTIONS["repro/network/mesh.py"]
 
     def test_determinism_rules_scope_covers_topologies(self):
         from repro.analysis.rules.determinism import DETERMINISTIC_LAYERS
 
-        rel = "repro/network/topologies/torus.py"
+        rel = "repro/network/mesh.py"
         assert rel.startswith(DETERMINISTIC_LAYERS)
 
     def test_flags_comprehension_in_topology_hot_body(self, check_tree):
         result = check_tree({
-            "repro/network/topologies/torus.py": (
-                "class TorusTopology:\n"
-                "    def vc_class(self, router_id, dst_router):\n"
+            "repro/network/mesh.py": (
+                "class MeshTopology:\n"
+                "    def route_direction(self, router_id, dst_router):\n"
                 "        return sum(c for c in self._coords)\n"
             ),
         }, rule_ids=["HP004"])

@@ -12,9 +12,9 @@ from repro.network.arbiters import RoundRobinArbiter
 from repro.network.buffers import CreditCounter
 from repro.network.links import EJECTION, MESH, Link
 from repro.network.packet import Packet
-from repro.network.router import OutputPort, Router
+from repro.network.router import _BITS, OutputPort, Router
 from repro.network.routing import EAST
-from repro.network.topologies.mesh import MeshTopology
+from repro.network.mesh import MeshTopology
 
 NUM_VCS = 2
 BUFFER_DEPTH = 8
@@ -196,6 +196,29 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             Router(router_id=0, num_local=2, buffer_depth=1, num_vcs=2,
                    head_delay=3, topology=MeshTopology(2, 2, 2))
+
+    def test_more_than_16_ports_rejected_before_any_table(self):
+        # The allocation scan indexes _BITS by port mask and the table is
+        # exponential in width: 13 locals + 4 mesh ports are refused
+        # before it grows, whether the router is built alone or by a
+        # fabric from a config.
+        from repro.config import NetworkConfig
+        from repro.network.stats import StatsCollector
+        from repro.network.topology import NetworkFabric
+
+        size = len(_BITS)
+        with pytest.raises(ConfigError, match="at most 16 ports"):
+            Router(router_id=0, num_local=13, buffer_depth=8, num_vcs=2,
+                   head_delay=3, topology=MeshTopology(2, 2, 13))
+        network = NetworkConfig(mesh_width=2, mesh_height=2,
+                                nodes_per_cluster=13)
+        with pytest.raises(ConfigError, match="at most 16 ports"):
+            NetworkFabric(network, StatsCollector())
+        assert len(_BITS) == size <= 1 << 16
+        router = Router(router_id=0, num_local=12, buffer_depth=8,
+                        num_vcs=2, head_delay=3,
+                        topology=MeshTopology(2, 2, 12))
+        assert router.num_ports == 16
 
     def test_unattached_output_is_simulation_error(self):
         router = make_router()

@@ -1,64 +1,35 @@
-"""Unit tests for the topology abstraction layer.
+"""Unit tests for the mesh topology.
 
-Covers the registry (name dispatch and its error messages), each concrete
-topology's geometry, the analytic hop models, the LINK_OFF gating, and
-the route-table build-before-wiring error.
+Covers the per-config topology memo, the mesh geometry, the analytic hop
+model, the LINK_OFF gating, the fault-detour order and the route-table
+build-before-wiring error.
 """
 
 import pytest
 
 from repro.config import NetworkConfig
 from repro.errors import ConfigError
-from repro.network.arbiters import RoundRobinArbiter
-from repro.network.buffers import CreditCounter
-from repro.network.links import EJECTION, INJECTION, MESH, Link
-from repro.network.router import OutputPort, Router
+from repro.network.links import EJECTION, INJECTION, MESH
+from repro.network.mesh import MeshTopology, get_topology
+from repro.network.router import Router
 from repro.network.routing import EAST, NORTH, OPPOSITE, SOUTH, WEST
-from repro.network.topologies import KNOWN_TOPOLOGIES, get_topology
-from repro.network.topologies.cmesh import CMeshTopology
-from repro.network.topologies.mesh import LineTopology, MeshTopology
-from repro.network.topologies.torus import TorusTopology
 
 
-def config(topology="mesh", width=4, height=4, locals_=2, **overrides):
-    return NetworkConfig(mesh_width=width, mesh_height=height,
-                         nodes_per_cluster=locals_, topology=topology,
-                         **overrides)
-
-
-class TestRegistry:
-    @pytest.mark.parametrize("name,cls", [
-        ("mesh", MeshTopology),
-        ("torus", TorusTopology),
-        ("cmesh", CMeshTopology),
-        ("line", LineTopology),
-    ])
-    def test_dispatch(self, name, cls):
-        topology = get_topology(config(name))
-        assert type(topology) is cls
-        assert topology.name == name
-
-    def test_unknown_name_lists_the_known_ones(self):
-        with pytest.raises(ConfigError) as exc:
-            config("hypercube")
-        message = str(exc.value)
-        assert "hypercube" in message
-        for name in KNOWN_TOPOLOGIES:
-            assert name in message
-
-    def test_torus_needs_two_vcs(self):
-        with pytest.raises(ConfigError, match="num_vcs >= 2"):
-            config("torus", num_vcs=1)
-
-    def test_cmesh_concentration_must_divide(self):
-        with pytest.raises(ConfigError, match="must divide"):
-            config("cmesh", width=3, height=4)
-
-    def test_node_count_is_topology_invariant(self):
-        counts = {
-            name: config(name).num_nodes for name in KNOWN_TOPOLOGIES
-        }
-        assert len(set(counts.values())) == 1
+class TestGetTopology:
+    def test_memoised_per_shape(self):
+        config = NetworkConfig(mesh_width=4, mesh_height=3,
+                               nodes_per_cluster=2)
+        topology = get_topology(config)
+        assert type(topology) is MeshTopology
+        assert (topology.grid_width, topology.grid_height,
+                topology.nodes_per_router) == (4, 3, 2)
+        # Fields the geometry does not depend on share the instance.
+        assert get_topology(NetworkConfig(mesh_width=4, mesh_height=3,
+                                          nodes_per_cluster=2,
+                                          num_vcs=2)) is topology
+        assert get_topology(NetworkConfig(mesh_width=3, mesh_height=4,
+                                          nodes_per_cluster=2)) \
+            is not topology
 
 
 class TestMeshGeometry:
@@ -91,81 +62,18 @@ class TestMeshGeometry:
             closed = (w * w - 1) / (3.0 * w) + (h * h - 1) / (3.0 * h)
             assert topology.mean_min_hops() == closed
 
+    def test_one_high_mesh(self):
+        topology = MeshTopology(6, 1, 2)
+        assert topology.neighbor(0, SOUTH) is None
+        assert topology.neighbor(0, NORTH) is None
+        assert topology.mesh_link_count() == 10
+        assert topology.min_hops(0, 5) == 5
+
     def test_link_off_gating_locals_only(self):
         topology = MeshTopology(4, 4, 2)
         assert topology.link_off_allowed(INJECTION)
         assert topology.link_off_allowed(EJECTION)
         assert not topology.link_off_allowed(MESH)
-
-
-class TestTorusGeometry:
-    def test_wrap_neighbours(self):
-        topology = TorusTopology(4, 4, 2)
-        assert topology.neighbor(0, WEST) == 3
-        assert topology.neighbor(3, EAST) == 0
-        assert topology.neighbor(0, NORTH) == 12
-        assert topology.neighbor(12, SOUTH) == 0
-
-    def test_size_one_ring_has_no_self_link(self):
-        topology = TorusTopology(1, 4, 2)
-        assert topology.neighbor(0, EAST) is None
-        assert topology.neighbor(0, WEST) is None
-
-    def test_min_hops_uses_ring_distance(self):
-        topology = TorusTopology(4, 4, 2)
-        # (0,0) -> (3,0): one wrap hop west, not three east.
-        assert topology.min_hops(0, 3) == 1
-        # (0,0) -> (2,2): 2 + 2, no shorter wrap.
-        assert topology.min_hops(0, topology.router_at(2, 2)) == 4
-
-    def test_mean_min_hops_beats_mesh(self):
-        assert TorusTopology(4, 4, 2).mean_min_hops() < \
-            MeshTopology(4, 4, 2).mean_min_hops()
-
-    def test_vc_class_marks_wrapping_journeys(self):
-        topology = TorusTopology(4, 4, 2)
-        # 0 -> 3 travels west with a wrap: dateline class 1.
-        assert topology.vc_class(0, 3) == 1
-        # 0 -> 1 travels east, no wrap: class 0.
-        assert topology.vc_class(0, 1) == 0
-
-    def test_link_off_allowed_everywhere(self):
-        topology = TorusTopology(4, 4, 2)
-        for kind in (INJECTION, EJECTION, MESH):
-            assert topology.link_off_allowed(kind)
-
-
-class TestCMeshGeometry:
-    def test_wide_router_worklists_stay_polynomial(self):
-        # A concentrated rack has P*c^2 + 4 ports; the work-list bitmask
-        # expansion must chunk rather than precompute 2^36 tuples
-        # (regression: construction used to hang / exhaust memory).
-        from repro.network.router import _BITS, _BITS_LIMIT, _wide_bits
-
-        topology = CMeshTopology(4, 4, 8, concentration=2)
-        assert topology.nodes_per_router == 32
-        router = Router(router_id=0, num_local=32, buffer_depth=64,
-                        num_vcs=4, head_delay=3, topology=topology)
-        assert router.num_ports == 36
-        assert len(_BITS) <= _BITS_LIMIT
-        # Chunked decode agrees with the table on every width.
-        for mask in (0, 1, 0b1010, (1 << 35) | (1 << 16) | 0b11,
-                     (1 << 36) - 1):
-            expected = [b for b in range(40) if mask >> b & 1]
-            assert _wide_bits(mask) == expected
-
-    def test_concentration_shrinks_the_router_grid(self):
-        topology = CMeshTopology(4, 4, 2, concentration=2)
-        assert topology.grid_shape == (2, 2)
-        assert topology.num_routers == 4
-        assert topology.nodes_per_router == 8
-        assert topology.num_nodes == 32
-
-    def test_line_is_a_one_high_mesh(self):
-        topology = LineTopology(6, 2)
-        assert topology.grid_shape == (6, 1)
-        assert topology.neighbor(0, SOUTH) is None
-        assert topology.min_hops(0, 5) == 5
 
 
 class TestFallbackDirections:
@@ -197,19 +105,4 @@ class TestBuildRouteTableErrors:
         router = Router(router_id=0, num_local=2, buffer_depth=8,
                         num_vcs=2, head_delay=3, topology=topology)
         with pytest.raises(ConfigError, match="no link attached"):
-            router.build_route_table()
-
-    def test_torus_table_needs_enough_vcs_for_classes(self):
-        # Fully wired single-VC router on a 2x2 torus: the table builds,
-        # but the dateline scheme needs two VC classes.
-        topology = TorusTopology(2, 2, 2)
-        router = Router(router_id=0, num_local=2, buffer_depth=8,
-                        num_vcs=1, head_delay=3, topology=topology)
-        for port in range(router.num_ports):
-            kind = EJECTION if port < router.num_local else MESH
-            credits = None if kind == EJECTION else [CreditCounter(8)]
-            router.attach_output(port, OutputPort(
-                Link(port, kind), credits=credits, num_vcs=1,
-                arbiter=RoundRobinArbiter(router.num_ports)))
-        with pytest.raises(ConfigError, match="VC classes"):
             router.build_route_table()
