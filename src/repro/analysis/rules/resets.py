@@ -87,8 +87,7 @@ RESET_EXEMPT: dict[str, dict[str, frozenset[str]]] = {
         # before reset is allowed at all.
         "NetworkPowerManager": frozenset({
             "network", "ladder", "power_model", "multi_optical", "bands",
-            "table", "_service_time_fn", "links", "_fabric_topology",
-            "_baseline_power",
+            "table", "_service_time_fn", "links", "_baseline_power",
         }),
     },
     "repro/core/power_link.py": {

@@ -63,10 +63,6 @@ def _add_run_parser(subparsers) -> None:
                         help="enable fault injection, e.g. "
                              "'rx_uw=13,retries=8,fail=16@2000' "
                              "(see docs/reliability.md)")
-    parser.add_argument("--link-off", action="store_true",
-                        help="arm the LINK_OFF sleep rung: idle links at "
-                             "the ladder bottom power off entirely and pay "
-                             "a wake penalty on new demand")
     parser.add_argument("--validate", action="store_true",
                         help="validate the wired topology before running")
     parser.add_argument("--trace", default=None, metavar="OUT.JSONL",
@@ -230,7 +226,6 @@ def _command_run(args) -> int:
         scale, technology=args.technology,
         min_bit_rate=gbps(args.min_rate_gbps),
         optical_levels=args.optical_levels,
-        link_off=args.link_off,
     )
     faults = None
     if args.faults is not None:

@@ -208,15 +208,10 @@ class TransitionConfig:
     voltage_transition_cycles: int = 100
     optical_transition_cycles: int = 62_500
     laser_epoch_cycles: int = 125_000
-    #: Wake penalty of the LINK_OFF sleep rung, cycles: a fully powered-off
-    #: transceiver must re-bias and re-lock, which we model at the optical
-    #: (VOA-class, ~100 us) timescale.  Billed as real transition time —
-    #: the link is disabled for this long after a wake is requested.
-    link_off_wake_cycles: int = 62_500
 
     def __post_init__(self) -> None:
         for name in ("bit_rate_transition_cycles", "voltage_transition_cycles",
-                     "optical_transition_cycles", "link_off_wake_cycles"):
+                     "optical_transition_cycles"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.laser_epoch_cycles < 1:
@@ -239,13 +234,6 @@ class PowerAwareConfig:
     optical_levels: int = 1
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     transitions: TransitionConfig = field(default_factory=TransitionConfig)
-    #: Arm the LINK_OFF sleep rung below ladder level 0: a link whose
-    #: policy keeps voting down while fully idle powers off (zero watts)
-    #: and pays ``transitions.link_off_wake_cycles`` of disabled time on
-    #: wake.  Only node-facing links may sleep
-    #: (:meth:`repro.network.mesh.MeshTopology.link_off_allowed`).
-    #: Off by default — the paper's ladder stops at level 0.
-    link_off: bool = False
 
     def __post_init__(self) -> None:
         if self.technology not in (VCSEL, MODULATOR):

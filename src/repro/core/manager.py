@@ -14,7 +14,6 @@ normalise exactly the way the paper does.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from repro.config import (
@@ -141,13 +140,6 @@ class NetworkPowerManager:
                     level_powers=level_powers,
                 )
             )
-        self._fabric_topology = topology.topology
-        if config.link_off:
-            # Arm the LINK_OFF sleep rung where the topology allows it
-            # (node-facing links only; see MeshTopology.link_off_allowed).
-            fabric_topology = self._fabric_topology
-            for pal in self.links:
-                pal.can_sleep = fabric_topology.link_off_allowed(pal.link.kind)
         self._transitioning: set[PowerAwareLink] = set()
         #: Non-power-aware network power (all links at max), cached once —
         #: ``relative_power()`` divides by it per summary call.
@@ -211,10 +203,6 @@ class NetworkPowerManager:
                 if bands is not None else None
             )
             pal.reset(config.policy, config.transitions, optical)
-        if config.link_off:
-            fabric_topology = self._fabric_topology
-            for pal in self.links:
-                pal.can_sleep = fabric_topology.link_off_allowed(pal.link.kind)
         self._transitioning.clear()
         self._energy_total = None
         self.window = config.policy.window_cycles
@@ -278,10 +266,9 @@ class NetworkPowerManager:
                 # The parked window repeats the one that parked the link
                 # (PowerAwareLink._park); these are all its updates.
                 pal.windows_observed += 1
-                history = pal.parked_history
-                if history is not None:
-                    history.append(0.0)
-                    pal.policy.decisions[STEP_DOWN] += 1
+                policy = pal.policy
+                policy._history.append(0.0)
+                policy.decisions[STEP_DOWN] += 1
                 parked += 1
                 continue
             decision = pal.on_window(start, now)
@@ -291,12 +278,7 @@ class NetworkPowerManager:
             if transition_hooks and decision != HOLD:
                 for callback in transition_hooks:
                     callback(pal, decision, now)
-            # A link parked OFF has next_event == inf: it is not tracked
-            # as transitioning (nothing to advance — only a later window's
-            # demand check wakes it), and scheduling an infinite-time
-            # wheel event would be meaningless.
             if pal.engine.in_transition \
-                    and pal.engine.next_event != math.inf \
                     and pal not in self._transitioning:
                 self._transitioning.add(pal)
                 wheel.schedule(pal.engine.next_event,
@@ -313,8 +295,7 @@ class NetworkPowerManager:
 
         def wake(now: int) -> None:
             pal.advance(now)
-            if pal.engine.in_transition \
-                    and pal.engine.next_event != math.inf:
+            if pal.engine.in_transition:
                 self._wheel.schedule(pal.engine.next_event, wake,
                                      PRI_TRANSITION)
             else:
@@ -405,16 +386,6 @@ class NetworkPowerManager:
         up = sum(pal.engine.steps_up for pal in self.links)
         down = sum(pal.engine.steps_down for pal in self.links)
         return {"up": up, "down": down}
-
-    def asleep_count(self) -> int:
-        """How many links are parked in the LINK_OFF rung right now."""
-        return sum(1 for pal in self.links if pal.engine.is_off)
-
-    def sleep_totals(self) -> dict[str, int]:
-        """Total LINK_OFF sleeps and wakes across all links."""
-        sleeps = sum(pal.engine.sleeps for pal in self.links)
-        wakes = sum(pal.engine.wakes for pal in self.links)
-        return {"sleeps": sleeps, "wakes": wakes}
 
     def replace_power_model(self, model) -> None:
         """Swap in a different link power model before the run starts.

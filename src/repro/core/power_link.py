@@ -21,7 +21,6 @@ every billing change with its precise timestamp.
 from __future__ import annotations
 
 import math
-from collections import deque
 
 from repro.config import PolicyConfig, TransitionConfig
 from repro.core.laser_policy import OpticalPowerController
@@ -40,8 +39,7 @@ class PowerAwareLink:
         "link", "ladder", "engine", "policy", "optical", "downstream_buffer",
         "level_powers", "energy_watt_cycles", "_last_charge", "pending_up",
         "windows_observed", "step_down_guard", "guard_holds",
-        "last_lu", "last_bu", "last_step_accepted", "can_sleep",
-        "parked_flits", "parked_history",
+        "last_lu", "last_bu", "last_step_accepted", "parked_flits",
     )
 
     def __init__(self, link: Link, ladder: BitRateLadder,
@@ -78,11 +76,6 @@ class PowerAwareLink:
         self.step_down_guard = None
         #: Down-steps vetoed by the margin guard.
         self.guard_holds = 0
-        #: Whether the LINK_OFF sleep rung below the ladder bottom is
-        #: armed for this link (set by the manager from the run config and
-        #: the topology's per-kind gating; False keeps the pre-sleep
-        #: policy behaviour bit-identical).
-        self.can_sleep = False
         #: Most recent window's utilisation readings (telemetry ``policy``
         #: hook payload; NaN until the first window closes).
         self.last_lu = math.nan
@@ -95,12 +88,9 @@ class PowerAwareLink:
         #: (see :meth:`_park`), or -1.  While the link carries no
         #: new flit and sees no demand pressure, its next window repeats
         #: the last one exactly, and the manager closes it in O(1)
+        #: (a zero ``Lu`` in the policy history and one more STEP_DOWN)
         #: instead of calling :meth:`on_window`.
         self.parked_flits = -1
-        #: The policy history a parked window appends its zero ``Lu`` to
-        #: (each such window also counts one STEP_DOWN), or None when the
-        #: link is parked OFF, whose windows feed no policy counter.
-        self.parked_history: deque[float] | None = None
 
     def reset(self, policy_config: PolicyConfig,
               transition_config: TransitionConfig,
@@ -111,8 +101,7 @@ class PowerAwareLink:
         survive; the policy controller, transition engine and optical
         controller are rebuilt *fresh* from the new point's configs —
         construction is cheap and makes bit-identity with a freshly
-        built :class:`PowerAwareLink` hold trivially.  ``can_sleep`` is
-        re-armed by the manager afterwards (it owns the topology gate).
+        built :class:`PowerAwareLink` hold trivially.
         """
         self.policy = LinkPolicyController(policy_config)
         self.engine = LinkTransitionEngine(
@@ -127,33 +116,24 @@ class PowerAwareLink:
         self.windows_observed = 0
         self.step_down_guard = None
         self.guard_holds = 0
-        self.can_sleep = False
         self.last_lu = math.nan
         self.last_bu = math.nan
         self.last_step_accepted = False
         self.parked_flits = -1
-        self.parked_history = None
 
     # -- energy accounting ----------------------------------------------------
 
     def _charge(self, now: float) -> None:
-        """Bill the current level's power up to ``now``.
-
-        A link parked in the OFF rung draws nothing: the elapsed time is
-        consumed (so the integrator stays exact) but no energy accrues.
-        """
+        """Bill the current level's power up to ``now``."""
         elapsed = now - self._last_charge
         if elapsed > 0.0:
-            if self.engine.state is not TransitionState.OFF:
-                self.energy_watt_cycles += (
-                    self.level_powers[self.engine.billing_level] * elapsed
-                )
+            self.energy_watt_cycles += (
+                self.level_powers[self.engine.billing_level] * elapsed
+            )
             self._last_charge = now
 
     def current_power(self) -> float:
-        """Instantaneous billed power, watts (zero while asleep)."""
-        if self.engine.state is TransitionState.OFF:
-            return 0.0
+        """Instantaneous billed power, watts."""
         return self.level_powers[self.engine.billing_level]
 
     def finalize(self, now: float) -> None:
@@ -187,12 +167,11 @@ class PowerAwareLink:
 
         That is the case when the window read ``Lu`` = ``Bu`` = 0, took
         no step (so ``last_step_accepted`` stays False) and left the
-        link asleep in the OFF rung (which only demand wakes), or at the
-        ladder floor with no LINK_OFF rung below after a rejected
-        STEP_DOWN.  Later all-zero windows repeat that STEP_DOWN:
-        appending a zero never raises the Eq. 11 average (float sums of
-        non-negative terms are monotone), every other input is
-        unchanged, and STEP_DOWN only needs the average to stay below TL.
+        link stable at the ladder floor after a rejected STEP_DOWN.
+        Later all-zero windows repeat that STEP_DOWN: appending a zero
+        never raises the Eq. 11 average (float sums of non-negative
+        terms are monotone), every other input is unchanged, and
+        STEP_DOWN only needs the average to stay below TL.
 
         The next window repeats this one as long as nothing feeds the
         link activity.  Here that means no flit in flight at ``end``,
@@ -205,13 +184,8 @@ class PowerAwareLink:
         """
         self.parked_flits = -1
         engine = self.engine
-        state = engine.state
-        if state is TransitionState.OFF:
-            history = None
-        elif decision == STEP_DOWN and state is TransitionState.STABLE \
-                and engine.level == 0 and not self.can_sleep:
-            history = self.policy._history
-        else:
+        if decision != STEP_DOWN or engine.level != 0 \
+                or engine.state is not TransitionState.STABLE:
             return
         if self.last_lu != 0.0 or self.last_bu != 0.0 \
                 or self.last_step_accepted or self.optical is not None:
@@ -225,7 +199,6 @@ class PowerAwareLink:
                 if not buffer.is_empty:
                     return
         self.parked_flits = link.flits_carried
-        self.parked_history = history
 
     def _evaluate(self, start: float, end: float) -> int:
         self.windows_observed += 1
@@ -247,16 +220,6 @@ class PowerAwareLink:
         self.last_lu = lu
         self.last_bu = bu
         self.last_step_accepted = False
-        if self.engine.state is TransitionState.OFF:
-            # Asleep in the LINK_OFF rung: wake on any sign of demand
-            # (upstream pressure or occupied downstream buffers — an off
-            # link serialises nothing, so busy time cannot appear), stay
-            # dark otherwise.  The policy's window counters are not fed
-            # while asleep.
-            if pressure > 0.0 or bu > 0.0:
-                self.last_step_accepted = self.engine.request_wake(end)
-                return STEP_UP
-            return HOLD
         decision = self.policy.observe(
             lu, bu, self.ladder.down_ratios[self.engine.level])
 
@@ -293,19 +256,6 @@ class PowerAwareLink:
                 # so transition hooks stay silent).
                 self.guard_holds += 1
                 decision = HOLD
-            elif self.can_sleep and self.engine.level == 0 \
-                    and busy == 0.0 and pressure == 0.0 and bu == 0.0:
-                # LINK_OFF rung: already at the ladder bottom with a
-                # completely idle window (no serialisation, no demand
-                # pressure, empty downstream buffers) — power off.  The
-                # guard is consulted with the sentinel level -1 so
-                # reliability policies can veto sleeping too.
-                if guard is not None and not guard(-1, end):
-                    self.guard_holds += 1
-                    decision = HOLD
-                else:
-                    self.last_step_accepted = \
-                        self.engine.request_sleep(end)
             else:
                 self.last_step_accepted = \
                     self.engine.request_step(STEP_DOWN, end)

@@ -29,7 +29,6 @@ precisely.
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Callable
 
 from repro.config import TransitionConfig
@@ -45,14 +44,6 @@ class TransitionState(enum.Enum):
     VOLTAGE_RAMP_UP = "voltage_ramp_up"
     RELOCK = "relock"
     VOLTAGE_RAMP_DOWN = "voltage_ramp_down"
-    #: LINK_OFF sleep rung: laser and SerDes fully powered off, link
-    #: disabled indefinitely, zero power billed.  Entered only from the
-    #: ladder bottom via :meth:`LinkTransitionEngine.request_sleep`.
-    OFF = "off"
-    #: Wake-up from OFF: laser re-bias + CDR lock from cold, a much longer
-    #: disable window than a bit-rate relock, billed as real transition
-    #: time at the bottom level's power.
-    WAKE = "wake"
 
 
 class LinkTransitionEngine:
@@ -61,7 +52,7 @@ class LinkTransitionEngine:
     __slots__ = (
         "link", "ladder", "config", "service_time_fn", "level", "target",
         "state", "next_event", "steps_up", "steps_down", "disabled_cycles",
-        "billing_listener", "sleeps", "wakes", "off_cycles", "_slept_at",
+        "billing_listener",
     )
 
     def __init__(self, link: Link, ladder: BitRateLadder,
@@ -81,22 +72,12 @@ class LinkTransitionEngine:
         self.steps_up = 0
         self.steps_down = 0
         self.disabled_cycles = 0.0
-        self.sleeps = 0
-        self.wakes = 0
-        #: Total cycles spent in the OFF state (zero-power time).
-        self.off_cycles = 0.0
-        self._slept_at = 0.0
         self.billing_listener: Callable[[float], None] | None = None
         link.set_service_time(service_time_fn(self.level))
 
     @property
     def in_transition(self) -> bool:
         return self.state is not TransitionState.STABLE
-
-    @property
-    def is_off(self) -> bool:
-        """Whether the link is parked in the LINK_OFF sleep rung."""
-        return self.state is TransitionState.OFF
 
     @property
     def billing_level(self) -> int:
@@ -141,47 +122,6 @@ class LinkTransitionEngine:
         self.advance(now)
         return True
 
-    def request_sleep(self, now: float) -> bool:
-        """Park the link in the LINK_OFF rung; returns acceptance.
-
-        Only a stable link can sleep (the policy asks at window
-        boundaries, never mid-transition).  The link is disabled
-        indefinitely — it transmits nothing and bills zero power — until
-        :meth:`request_wake` starts the wake-up sequence.
-        """
-        if self.in_transition:
-            return False
-        self._notify(now)
-        self.state = TransitionState.OFF
-        self.sleeps += 1
-        self._slept_at = now
-        self.next_event = math.inf
-        self.link.disabled_until = math.inf
-        return True
-
-    def request_wake(self, now: float) -> bool:
-        """Start the wake-up sequence from OFF; returns acceptance.
-
-        The wake penalty (laser re-bias + cold CDR lock,
-        ``link_off_wake_cycles``) is billed as a real disabled window: the
-        link stays dark until it elapses, then returns to the level it
-        slept at.
-        """
-        if self.state is not TransitionState.OFF:
-            return False
-        self._notify(now)
-        self.off_cycles += now - self._slept_at
-        self.wakes += 1
-        self.state = TransitionState.WAKE
-        wake = self.config.link_off_wake_cycles
-        # disabled_until is +inf while OFF, so assign rather than extend.
-        self.link.disabled_until = now + wake
-        self.disabled_cycles += wake
-        self.next_event = now + wake
-        # Zero-delay configurations complete instantly.
-        self.advance(now)
-        return True
-
     def _begin_relock(self, when: float) -> None:
         relock = self.config.bit_rate_transition_cycles
         self.link.disable_for(when, relock)
@@ -211,9 +151,4 @@ class LinkTransitionEngine:
             elif self.state is TransitionState.VOLTAGE_RAMP_DOWN:
                 self._notify(event_time)
                 self.level = self.target
-                self.state = TransitionState.STABLE
-            elif self.state is TransitionState.WAKE:
-                # Wake-up complete: resume at the level we slept at.
-                self._notify(event_time)
-                self.target = self.level
                 self.state = TransitionState.STABLE

@@ -70,12 +70,6 @@ class ExperimentScale:
             laser_epoch_cycles=max(
                 1, base.laser_epoch_cycles // self.slow_constant_divisor
             ),
-            # The LINK_OFF wake penalty is a slow (laser re-bias class)
-            # constant, compressed like the optical settle so scaled runs
-            # still see wakes complete well within a run.
-            link_off_wake_cycles=max(
-                1, base.link_off_wake_cycles // self.slow_constant_divisor
-            ),
         )
 
 
@@ -128,8 +122,7 @@ def get_scale(name: str) -> ExperimentScale:
 def power_config(scale: ExperimentScale, *, technology: str = VCSEL,
                  min_bit_rate: float = 5e9, optical_levels: int = 1,
                  policy: PolicyConfig | None = None,
-                 ideal_transitions: bool = False,
-                 link_off: bool = False) -> PowerAwareConfig:
+                 ideal_transitions: bool = False) -> PowerAwareConfig:
     """Build a :class:`PowerAwareConfig` for an experiment scale."""
     transitions = scale.transitions()
     if ideal_transitions:
@@ -145,7 +138,6 @@ def power_config(scale: ExperimentScale, *, technology: str = VCSEL,
         optical_levels=optical_levels,
         policy=policy or scale.default_policy(),
         transitions=transitions,
-        link_off=link_off,
     )
 
 

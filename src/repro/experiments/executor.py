@@ -581,10 +581,9 @@ class ResilientSweepExecutor:
         for index in slot.indices:
             results[index] = result
         if journal is not None:
-            journal.record_attempt(slot.key, slot.point.label,
-                                   slot.attempts, "done", None, elapsed)
             journal.record_done(slot.key, slot.point.label, result,
-                                slot.attempts, slot.elapsed)
+                                slot.attempts, slot.elapsed,
+                                attempt_elapsed=elapsed)
         self._fire_point(slot.point.label, slot.key, "done", slot.attempts,
                          slot.elapsed)
 
@@ -600,12 +599,10 @@ class ResilientSweepExecutor:
         if cause == CAUSE_TIMEOUT:
             self.stats.timeouts += 1
         retrying = slot.attempts < self.plan.attempts_allowed
-        if journal is not None:
-            journal.record_attempt(slot.key, slot.point.label,
-                                   slot.attempts,
-                                   "retry" if retrying else "failed",
-                                   cause, elapsed)
         if retrying:
+            if journal is not None:
+                journal.record_attempt(slot.key, slot.point.label,
+                                       slot.attempts, "retry", cause, elapsed)
             self.stats.retries += 1
             self._fire_retry(slot.point.label, slot.key, slot.attempts,
                              cause, self.plan.backoff_delay(slot.attempts))
@@ -614,7 +611,8 @@ class ResilientSweepExecutor:
             if journal is not None:
                 journal.record_failed(slot.key, slot.point.label,
                                       slot.attempts, slot.last_error,
-                                      slot.elapsed)
+                                      slot.elapsed, cause=cause,
+                                      attempt_elapsed=elapsed)
             self._fire_point(slot.point.label, slot.key, "failed",
                              slot.attempts, slot.elapsed)
         return retrying

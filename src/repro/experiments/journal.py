@@ -31,7 +31,9 @@ Two tables: ``points`` is the materialised view (one row per key, upserted
 on completion), ``attempts`` is the append-only audit log (one row per
 execution attempt, including the failed ones).  Writes commit
 immediately — a SIGKILL between points loses nothing, a SIGKILL *during*
-a write loses at most that row to SQLite's rollback journal.
+a write loses at most that write to SQLite's rollback journal.  A
+finished point's last attempt row and its ``points`` row commit in one
+transaction, so a crash leaves both or neither, and the point re-runs.
 """
 
 from __future__ import annotations
@@ -212,36 +214,56 @@ class SweepJournal:
 
     # -- writes ----------------------------------------------------------------
 
-    def record_attempt(self, key: str, label: str, attempt: int,
-                       outcome: str, cause: str | None,
-                       elapsed: float) -> None:
-        """Append one attempt to the audit log (committed immediately)."""
+    def _insert_attempt(self, key: str, label: str, attempt: int,
+                        outcome: str, cause: str | None,
+                        elapsed: float) -> None:
         self._conn.execute(
             "INSERT INTO attempts (key, label, attempt, outcome, cause, "
             "elapsed) VALUES (?, ?, ?, ?, ?, ?)",
             (key, label, attempt, outcome, cause, elapsed))
-        self._conn.commit()
+
+    def record_attempt(self, key: str, label: str, attempt: int,
+                       outcome: str, cause: str | None,
+                       elapsed: float) -> None:
+        """Append one attempt to the audit log (committed immediately)."""
+        with self._conn:
+            self._insert_attempt(key, label, attempt, outcome, cause,
+                                 elapsed)
 
     def record_done(self, key: str, label: str, result: "RunResult",
-                    attempts: int, elapsed: float) -> None:
-        """Commit a completed point (idempotent on re-runs of equal work)."""
+                    attempts: int, elapsed: float, *,
+                    attempt_elapsed: float) -> None:
+        """Commit a completed point and its final attempt's audit row.
+
+        ``attempts`` and ``elapsed`` are the point's totals;
+        ``attempt_elapsed`` is the final (``done``) attempt's own time.
+        Idempotent on re-runs of equal work.
+        """
         payload = json.dumps(result_to_dict(result))
-        self._conn.execute(
-            "INSERT OR REPLACE INTO points "
-            "(key, label, status, attempts, elapsed, result, error) "
-            "VALUES (?, ?, 'done', ?, ?, ?, NULL)",
-            (key, label, attempts, elapsed, payload))
-        self._conn.commit()
+        self._record_point(key, label, "done", attempts, elapsed, payload,
+                           None, None, attempt_elapsed)
 
     def record_failed(self, key: str, label: str, attempts: int,
-                      error: str, elapsed: float) -> None:
-        """Commit a point whose retry budget ran out."""
-        self._conn.execute(
-            "INSERT OR REPLACE INTO points "
-            "(key, label, status, attempts, elapsed, result, error) "
-            "VALUES (?, ?, 'failed', ?, ?, NULL, ?)",
-            (key, label, attempts, elapsed, error))
-        self._conn.commit()
+                      error: str, elapsed: float, *, cause: str,
+                      attempt_elapsed: float) -> None:
+        """Commit a point whose retry budget ran out, with the audit row
+        of its final (``failed``) attempt and that attempt's ``cause``."""
+        self._record_point(key, label, "failed", attempts, elapsed, None,
+                           error, cause, attempt_elapsed)
+
+    def _record_point(self, key: str, label: str, status: str,
+                      attempts: int, elapsed: float, result: str | None,
+                      error: str | None, cause: str | None,
+                      attempt_elapsed: float) -> None:
+        # One transaction: a crash leaves both rows or neither.
+        with self._conn:
+            self._insert_attempt(key, label, attempts, status, cause,
+                                 attempt_elapsed)
+            self._conn.execute(
+                "INSERT OR REPLACE INTO points "
+                "(key, label, status, attempts, elapsed, result, error) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (key, label, status, attempts, elapsed, result, error))
 
     # -- lifecycle -------------------------------------------------------------
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
-from repro.network.links import MESH
 from repro.network.routing import EAST, NORTH, OPPOSITE, SOUTH, WEST, xy_route
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle guard)
@@ -178,18 +177,6 @@ class MeshTopology:
         """
         w, h = self.grid_width, self.grid_height
         return (w * w - 1) / (3.0 * w) + (h * h - 1) / (3.0 * h)
-
-    # -- power policy ----------------------------------------------------------
-
-    def link_off_allowed(self, kind: str) -> bool:
-        """Whether the LINK_OFF sleep rung may be armed on ``kind`` links.
-
-        Router-to-router fibers stay awake: the mesh has no path
-        redundancy, so a sleeping mesh link stalls every worm routed over
-        it for up to a wake penalty.  Injection and ejection links serve
-        one node each and may sleep.
-        """
-        return kind != MESH
 
 
 #: Per-process memo of built topology instances, keyed by every config

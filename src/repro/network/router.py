@@ -35,10 +35,6 @@ from repro.network.links import Link
 if TYPE_CHECKING:  # pragma: no cover - typing-only import (cycle guard)
     from repro.network.mesh import MeshTopology
 
-#: Shared empty result for step calls that forward nothing (the common
-#: case) — callers treat the return value as read-only.
-_NO_FORWARDS: list[tuple[int, "Flit"]] = []
-
 #: Bitmask -> ascending set-bit indices, e.g. ``_BITS[0b10010] == (1, 4)``.
 #: The allocation scan iterates these precomputed tuples instead of
 #: peeling bits arithmetically (``mask & -mask`` / ``bit_length``), which
@@ -393,22 +389,20 @@ class Router:
             f"toward router {dst_router} is failed or absent"
         )
 
-    def step(self, now: float) -> list[tuple[int, Flit]]:
+    def step(self, now: float) -> None:
         """One allocation + traversal cycle.
 
-        Returns the (output port, flit) pairs forwarded this cycle — used
-        by tests; the flits are already on their links.
-
-        The allocation scan walks the ``_active_mask``/``nonempty``
-        work-list bitmasks in canonical ascending (port, VC) order, so only
-        VCs holding flits are touched and every tie-break the arbiters see
-        is deterministic.
+        Forwarded flits go straight onto their output links.  The
+        allocation scan walks the ``_active_mask``/``nonempty`` work-list
+        bitmasks in canonical ascending (port, VC) order, so only VCs
+        holding flits are touched and every tie-break the arbiters see is
+        deterministic.
         """
         active = self._active_mask
         if not active:
             if self.registry is not None:
                 self.registry.discard(self)
-            return _NO_FORWARDS
+            return
         inputs = self.inputs
         outputs = self.outputs
         # Most step calls produce zero or one switch request (measured 0.6
@@ -480,17 +474,16 @@ class Router:
         if out0 < 0:
             if not self._active_mask and self.registry is not None:
                 self.registry.discard(self)
-            return _NO_FORWARDS
+            return
         if requests is None:
             # Single granted request: one shared switch-traversal body
             # (:meth:`_forward`) serves this common case and the contested
             # loop below — a divergence between an inlined copy and the
             # method cannot happen by construction.
-            flit = self._forward(out0, i0, v0, now)
+            self._forward(out0, i0, v0, now)
             if not self._active_mask and self.registry is not None:
                 self.registry.discard(self)
-            return [(out0, flit)]
-        forwarded: list[tuple[int, Flit]] = []
+            return
         num_vcs = self.num_vcs
         for out_idx, reqs in requests.items():
             # Contested arbitration: two or more requesters for one output
@@ -503,20 +496,14 @@ class Router:
             else:
                 encoded = outputs[out_idx].arbiter.grant(reqs)
             winner_port, winner_vc = divmod(encoded, num_vcs)
-            forwarded.append(
-                (out_idx, self._forward(out_idx, winner_port, winner_vc, now))
-            )
+            self._forward(out_idx, winner_port, winner_vc, now)
         requests.clear()
         if not self._active_mask and self.registry is not None:
             self.registry.discard(self)
-        return forwarded
 
     def _forward(self, out_idx: int, winner_port: int, winner_vc: int,
-                 now: float) -> Flit:
-        """Switch traversal for one granted (input port, VC) -> output.
-
-        Returns the forwarded flit (already pushed onto the output link).
-        """
+                 now: float) -> None:
+        """Switch traversal for one granted (input port, VC) -> output."""
         port = self.inputs[winner_port]
         vc = port.vcs[winner_vc]
         buf = vc.buffer
@@ -560,9 +547,8 @@ class Router:
                 # An ejection body flit: its node sink ignores it, so it
                 # joins the link's run instead of being filed.
                 link.last_arrival = arrival
-                return flit
+                return
         link._in_flight.append((arrival, flit))
         calendar = link.calendar
         if calendar is not None:
             calendar[ceil(arrival)].append(link.link_id)
-        return flit

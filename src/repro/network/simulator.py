@@ -79,22 +79,6 @@ def _stall_error(sim: "Simulator", description: str) -> SimulationError:
     return SimulationError(f"{description}\n{congestion_report(sim)}")
 
 
-def _asleep_note(sim: "Simulator") -> str:
-    """Stall-diagnosis addendum naming links parked in LINK_OFF.
-
-    A wake only triggers at a window boundary, so a stall report that
-    ignored sleeping links would send the reader hunting for a flow-control
-    bug that is actually a sleeping fiber.  Failure path only.
-    """
-    power = sim.power
-    if power is None:
-        return ""
-    asleep = power.asleep_count()
-    if not asleep:
-        return ""
-    return f" ({asleep} links asleep in LINK_OFF awaiting a window wake)"
-
-
 class StallWatchdog:
     """Turns a silent simulator hang into a diagnosis.
 
@@ -129,7 +113,7 @@ class StallWatchdog:
                 self.sim,
                 f"no flit delivered for {stalled} cycles with "
                 f"{self.sim.stats.in_flight} packets in flight — likely a "
-                f"flow-control bug.{_asleep_note(self.sim)}",
+                "flow-control bug.",
             )
         self.sim.wheel.schedule(now + WATCHDOG_INTERVAL, self._check,
                                 PRI_WATCHDOG)
@@ -426,6 +410,10 @@ class Simulator:
         deliver = self._phase_deliver
         active_routers = self._active_routers
         active_nodes = self._active_nodes
+        # Truth-test the registries' member dicts, not the sets: a dict
+        # test runs in C, ActiveSet.__bool__ is a Python call twice a cycle.
+        router_members = active_routers._members
+        node_members = active_nodes._members
         wheel = self.wheel
         nodes = self.network.nodes
         stats = self.stats
@@ -433,10 +421,10 @@ class Simulator:
         for _ in range(cycles):
             now = self.cycle
             deliver(now)
-            if active_routers:
+            if router_members:
                 for router in active_routers.snapshot():
                     router.step(now)
-            if active_nodes:
+            if node_members:
                 for node in active_nodes.snapshot():
                     node.step(now)
             for packet in generate(now):

@@ -291,11 +291,6 @@ def _make_level_guard(pal: "PowerAwareLink", channel: LinkChannelModel,
     """Guard for electrical down-steps: project the lower level's BER."""
 
     def guard(target_level: int, now: float) -> bool:
-        if target_level < 0:
-            # LINK_OFF sentinel: a sleeping link transmits nothing, so no
-            # BER applies; waking returns to level 0, whose BER was already
-            # judged acceptable when the link stepped down to it.
-            return True
         rate = pal.ladder.rate(target_level)
         if pal.optical is not None:
             fraction = pal.optical.bands.power_fractions[

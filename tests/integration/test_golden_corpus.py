@@ -3,9 +3,8 @@
 The simulator has one step loop, so no second implementation can check
 its output; this corpus is the oracle instead.  It has three parts:
 
-* **grid** — three uniform loads x faults off/on x LINK_OFF off/on: 12
-  short runs on a 4x4 mesh with 2 nodes per rack and the smoke-scale
-  power configuration;
+* **grid** — three uniform loads x faults off/on: 6 short runs on a 4x4
+  mesh with 2 nodes per rack and the smoke-scale power configuration;
 * **regimes** — longer runs, two loads each, of the regimes the grid
   does not reach: the non-power-aware baseline, transitions longer than
   the policy window, a modulator with three optical levels (laser
@@ -86,23 +85,20 @@ class Cell:
     #: ``smoke`` (grid), ``baseline``, ``slow``, ``modulator`` or ``ideal``.
     regime: str = "smoke"
     faults: bool = False
-    link_off: bool = False
 
     @property
     def name(self) -> str:
         if self.regime == "smoke":
             return (f"mesh-{self.load}"
-                    f"-{'faults' if self.faults else 'clean'}"
-                    f"{'-linkoff' if self.link_off else ''}")
+                    f"-{'faults' if self.faults else 'clean'}")
         return f"{self.regime}-mesh-{self.load}"
 
 
 def _cells() -> dict[str, Cell]:
     cells = [
-        Cell(load, GRID_CYCLES, faults=faults, link_off=link_off)
+        Cell(load, GRID_CYCLES, faults=faults)
         for load in GRID_LOADS
         for faults in (False, True)
-        for link_off in (False, True)
     ]
     for regime in ("baseline", "slow", "modulator", "ideal"):
         cells.extend(Cell(load, REGIME_CYCLES, regime=regime)
@@ -134,8 +130,7 @@ def _power(cell: Cell):
         # Voltage ramps outlast the 200-cycle policy window.
         return replace(power, transitions=replace(
             power.transitions, voltage_transition_cycles=300))
-    return power_config(SCALE, ideal_transitions=cell.regime == "ideal",
-                        link_off=cell.link_off)
+    return power_config(SCALE, ideal_transitions=cell.regime == "ideal")
 
 
 def fabric() -> NetworkConfig:
@@ -193,18 +188,17 @@ def run_cold(cell: Cell) -> tuple[Simulator, int]:
     spanning = 0
     power = sim.power
     if power is not None:
-        # link id -> transitions begun, for links mid-transition (not
-        # asleep) after the last window; an unchanged count one window
-        # later means the same transition spans the boundary.
+        # link id -> transitions begun, for links mid-transition after
+        # the last window; an unchanged count one window later means the
+        # same transition spans the boundary.
         previous: dict[int, int] = {}
 
         def on_window(start, now):
             nonlocal spanning
             current = {
                 pal.link.link_id: pal.engine.steps_up + pal.engine.steps_down
-                + pal.engine.wakes
                 for pal in power.links
-                if pal.engine.in_transition and not pal.engine.is_off
+                if pal.engine.in_transition
             }
             spanning = max(spanning, sum(
                 1 for link_id, begun in current.items()
@@ -229,8 +223,6 @@ def check_regime(cell: Cell, sim: Simulator, spanning: int) -> None:
     """Fail if the cell no longer exercises the regime it was built for."""
     if cell.faults:
         assert sim.reliability.report().flits_retransmitted > 0
-    if cell.link_off:
-        assert sim.power.sleep_totals()["sleeps"] > 0
     if cell.regime == "modulator":
         assert sum(pal.optical.decreases for pal in sim.power.links) > 0
     if cell.regime == "slow":
@@ -404,6 +396,14 @@ def load_corpus() -> dict[str, Any]:
 @pytest.fixture(scope="module")
 def corpus() -> dict[str, Any]:
     return load_corpus()
+
+
+def test_corpus_pins_exactly_the_generated_entries(corpus):
+    # A pin whose cell, scenario or trace is gone would never be read.
+    assert set(corpus) == {"cells", "faults", "traces"}
+    assert set(corpus["cells"]) == set(CELLS)
+    assert set(corpus["faults"]) == set(FAULT_SCENARIOS)
+    assert set(corpus["traces"]) == set(TRACE_BENCHMARKS)
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))

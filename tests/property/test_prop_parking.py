@@ -6,11 +6,10 @@ closed form instead of re-running the full evaluation.  Attaching a
 ``policy`` hook switches parking off, so the same config run with and
 without a no-op policy hook compares the parked path against the full
 one.  Both must agree on the run summary, power series, level
-histogram, transition and sleep totals, and every link's window,
-decision and utilisation state — over square, wide-router and 1-high
-meshes, idle, light
-uniform and SPLASH trace traffic, LINK_OFF on and off, faults on and
-off, multi-optical modulator links, and warm resets.
+histogram, transition totals, and every link's window, decision and
+utilisation state — over square, wide-router and 1-high meshes, idle,
+light uniform and SPLASH trace traffic, faults on and off,
+multi-optical modulator links, and warm resets.
 """
 
 from hypothesis import given, settings
@@ -52,23 +51,21 @@ def network_for(shape: tuple[int, int, int]) -> NetworkConfig:
                          num_vcs=2)
 
 
-def make_power(*, history: int = 1, link_off: bool = False,
-               optical_levels: int = 1, pressure_aware: bool = True,
-               ideal: bool = False, window: int = 40) -> PowerAwareConfig:
+def make_power(*, history: int = 1, optical_levels: int = 1,
+               pressure_aware: bool = True, ideal: bool = False,
+               window: int = 40) -> PowerAwareConfig:
     # Ideal (zero-delay) transitions complete inside the window that
     # requests them.
     step = 0 if ideal else 2
     return PowerAwareConfig(
         technology=MODULATOR,
         optical_levels=optical_levels,
-        link_off=link_off,
         policy=PolicyConfig(window_cycles=window, history_windows=history,
                             pressure_aware_utilisation=pressure_aware),
         transitions=TransitionConfig(
             bit_rate_transition_cycles=step,
             voltage_transition_cycles=5 * step,
             optical_transition_cycles=300, laser_epoch_cycles=400,
-            link_off_wake_cycles=30,
         ),
     )
 
@@ -134,7 +131,7 @@ def outputs(sim: Simulator, cycles: int = CYCLES):
     )
     return (sim.summary(), tuple(power.power_series),
             tuple(power.level_histogram()), power.transition_totals(),
-            power.sleep_totals(), per_link)
+            per_link)
 
 
 def run_pair(config: SimulationConfig, traffic_factory):
@@ -155,16 +152,14 @@ class TestParkingIsExact:
         traffic=st.sampled_from(TRAFFIC),
         rate=st.floats(min_value=0.005, max_value=0.15),
         history=st.integers(min_value=1, max_value=3),
-        link_off=st.booleans(),
         pressure_aware=st.booleans(),
         ideal=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_parked_matches_full_path(self, shape, traffic, rate,
-                                      history, link_off, pressure_aware,
-                                      ideal, seed):
+                                      history, pressure_aware, ideal, seed):
         config = make_config(shape, seed,
-                             make_power(history=history, link_off=link_off,
+                             make_power(history=history,
                                         pressure_aware=pressure_aware,
                                         ideal=ideal))
         parked, full, _ = run_pair(
@@ -176,14 +171,12 @@ class TestParkingIsExact:
     @given(
         shape=st.sampled_from(SHAPES),
         traffic=st.sampled_from(TRAFFIC),
-        link_off=st.booleans(),
         margin_guard=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_parked_matches_full_path_under_faults(self, shape, traffic,
-                                                   link_off, margin_guard,
-                                                   seed):
-        config = make_config(shape, seed, make_power(link_off=link_off),
+                                                   margin_guard, seed):
+        config = make_config(shape, seed, make_power(),
                              faults=scenario_faults(shape, margin_guard))
         parked, full, _ = run_pair(
             config,
@@ -217,32 +210,30 @@ class TestParkingIsExact:
     def test_idle_runs_do_park(self):
         # The oracle above proves nothing if the parked path never runs.
         for shape in SHAPES:
-            for link_off in (False, True):
-                config = make_config(shape, 5,
-                                     make_power(link_off=link_off))
-                parked, full, windows = run_pair(
-                    config,
-                    lambda: make_traffic("idle", config.network, 0.0, 5))
-                assert parked == full
-                assert windows > 0, (shape, link_off)
+            config = make_config(shape, 5, make_power())
+            parked, full, windows = run_pair(
+                config, lambda: make_traffic("idle", config.network, 0.0, 5))
+            assert parked == full
+            assert windows > 0, shape
 
     @settings(max_examples=5, deadline=None)
     @given(
         shape=st.sampled_from(SHAPES),
         traffic=st.sampled_from(TRAFFIC),
-        link_off=st.booleans(),
+        pressure_aware=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_warm_reset_after_parked_run(self, shape, traffic, link_off,
-                                         seed):
+    def test_warm_reset_after_parked_run(self, shape, traffic,
+                                         pressure_aware, seed):
         # A simulator that parked links in an idle run, reset onto a new
         # point, must match a freshly built one.
-        power = make_power(link_off=link_off)
+        power = make_power(pressure_aware=pressure_aware)
         config = make_config(shape, seed, power)
         factory = lambda: make_traffic(traffic, config.network, 0.03, seed)  # noqa: E731
         fresh = outputs(Simulator(config, factory()))
         sim = Simulator(make_config(shape, seed + 1,
-                                    make_power(link_off=not link_off)),
+                                    make_power(
+                                        pressure_aware=not pressure_aware)),
                         make_traffic("idle", config.network, 0.0, seed))
         sim.run(CYCLES)
         assert sim.power.link_windows_parked > 0

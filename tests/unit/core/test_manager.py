@@ -25,17 +25,14 @@ from repro.network.stats import StatsCollector
 from repro.network.topology import ClusteredMesh
 
 
-def make_manager(technology=VCSEL, optical_levels=1, window=100,
-                 link_off=False, pressure_aware=True, history=1):
+def make_manager(technology=VCSEL, optical_levels=1, window=100, history=1):
     network = NetworkConfig(mesh_width=2, mesh_height=2, nodes_per_cluster=2,
                             buffer_depth=8, num_vcs=2)
     topology = ClusteredMesh(network, StatsCollector())
     power = PowerAwareConfig(
         technology=technology,
         optical_levels=optical_levels,
-        link_off=link_off,
-        policy=PolicyConfig(window_cycles=window, history_windows=history,
-                            pressure_aware_utilisation=pressure_aware),
+        policy=PolicyConfig(window_cycles=window, history_windows=history),
         transitions=TransitionConfig(
             bit_rate_transition_cycles=2, voltage_transition_cycles=10,
             optical_transition_cycles=300, laser_epoch_cycles=400,
@@ -540,26 +537,6 @@ class TestQuietLinkParking:
         assert pal.parked_flits == -1
         self._drive(twins, 451, 501, on_boundary)
         assert pal.last_bu > 0.0
-
-    def test_sleep_blocked_by_ignored_pressure_does_not_park(self):
-        # With pressure left out of Lu, demand with no push reads Lu = 0
-        # but still keeps a sleep-armed floor link awake (a rejected
-        # STEP_DOWN); once the demand stops, the next window sleeps.
-        twins = self._twins(link_off=True, pressure_aware=False)
-
-        def demand(manager, topology, now):
-            if 250 < now <= 300:
-                for pal in manager.links:
-                    pal.link.pressure_accum += 1.0
-
-        self._drive(twins, 1, 301, demand)
-        plain = twins[0][0]
-        assert plain.level_histogram()[0] == len(plain.links)
-        assert plain.asleep_count() == 0
-        self._drive(twins, 301, 351, demand)
-        sleepers = sum(pal.can_sleep for pal in plain.links)
-        assert sleepers > 0
-        assert plain.asleep_count() == sleepers
 
     def test_hold_at_the_floor_does_not_park(self):
         # History 4, two demand windows at Lu 0.92, then silence: the

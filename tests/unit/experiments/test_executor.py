@@ -114,6 +114,28 @@ class TestSerialExecution:
         assert events == [("p0", "cached", 0), ("p1", "cached", 0),
                           ("p2", "cached", 0)]
 
+    def test_one_journal_commit_per_executed_point(self, monkeypatch,
+                                                   tmp_path):
+        # A finished point's final attempt row and its points row share
+        # one transaction, whether the point is done or failed.
+        statements = []
+        open_journal = ResilientSweepExecutor._open_journal
+
+        def traced(executor):
+            journal = open_journal(executor)
+            journal._conn.set_trace_callback(statements.append)
+            return journal
+
+        monkeypatch.setattr(ResilientSweepExecutor, "_open_journal", traced)
+        monkeypatch.setenv("REPRO_CHAOS", "oom*9:doomed")
+        points = [tiny_point(label=f"p{i}", seed=i + 1) for i in range(3)]
+        points.append(tiny_point(label="doomed", seed=4))
+        outcome = execute_sweep(
+            points, plan=ExecutionPlan(journal=tmp_path / "j.sqlite"))
+        assert outcome.stats.executed == 3
+        assert outcome.stats.failed == 1
+        assert statements.count("COMMIT") == len(points)
+
     def test_resume_requires_existing_journal(self, tmp_path):
         plan = ExecutionPlan(journal=tmp_path / "absent.sqlite",
                              resume=True)

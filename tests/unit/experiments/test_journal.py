@@ -61,16 +61,21 @@ class TestJournalPersistence:
         path = tmp_path / "j.sqlite"
         with SweepJournal(path) as journal:
             journal.record_done(key, point.label, result, attempts=1,
-                                elapsed=0.5)
+                                elapsed=0.5, attempt_elapsed=0.5)
         with SweepJournal(path) as journal:
             assert journal.get(key) == result
             assert journal.counts() == {"done": 1}
+            # The final attempt's audit row is written with the point.
+            assert journal.attempt_log() == [
+                {"key": key, "label": point.label, "attempt": 1,
+                 "outcome": "done", "cause": None, "elapsed": 0.5}]
 
     def test_missing_and_failed_keys_return_none(self, tmp_path):
         with SweepJournal(tmp_path / "j.sqlite") as journal:
             assert journal.get("0" * 64) is None
             journal.record_failed("0" * 64, "p", attempts=2,
-                                  error="RuntimeError: boom", elapsed=1.0)
+                                  error="RuntimeError: boom", elapsed=1.0,
+                                  cause="error", attempt_elapsed=0.4)
             # A stale failure is never served as a result: resume retries.
             assert journal.get("0" * 64) is None
             assert journal.counts() == {"failed": 1}
@@ -78,6 +83,9 @@ class TestJournalPersistence:
             assert failure["label"] == "p"
             assert failure["attempts"] == 2
             assert "boom" in failure["error"]
+            [attempt] = journal.attempt_log()
+            assert (attempt["attempt"], attempt["outcome"], attempt["cause"],
+                    attempt["elapsed"]) == (2, "failed", "error", 0.4)
 
     def test_attempt_log_is_append_only(self, tmp_path):
         with SweepJournal(tmp_path / "j.sqlite") as journal:
@@ -94,8 +102,10 @@ class TestJournalPersistence:
         result = run_point(point)
         key = point_key(point)
         with SweepJournal(tmp_path / "j.sqlite") as journal:
-            journal.record_failed(key, point.label, 1, "boom", 0.1)
-            journal.record_done(key, point.label, result, 2, 0.9)
+            journal.record_failed(key, point.label, 1, "boom", 0.1,
+                                  cause="error", attempt_elapsed=0.1)
+            journal.record_done(key, point.label, result, 2, 0.9,
+                                attempt_elapsed=0.8)
             assert journal.get(key) == result
             assert journal.counts() == {"done": 1}
 
@@ -116,7 +126,8 @@ class TestJournalPersistence:
         point = tiny_point()
         result = run_point(point)
         journal = SweepJournal(path)
-        journal.record_done(point_key(point), point.label, result, 1, 0.1)
+        journal.record_done(point_key(point), point.label, result, 1, 0.1,
+                            attempt_elapsed=0.1)
         with SweepJournal(path) as fresh:
             assert fresh.get(point_key(point)) == result
 

@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ConfigError, SimulationError
 from repro.network.arbiters import RoundRobinArbiter
 from repro.network.buffers import CreditCounter
+from repro.network.flit import Flit
 from repro.network.links import EJECTION, MESH, Link
 from repro.network.packet import Packet
 from repro.network.router import _BITS, OutputPort, Router
@@ -52,11 +53,23 @@ def inject(router: Router, port: int, packet: Packet, now: float, vc=0):
         router.receive_flit(port, flit, now)
 
 
+def step(router: Router, now: float) -> list[tuple[int, Flit]]:
+    """Step the router once; return the (output port, flit) pairs it put
+    on its output links, read back from the links themselves."""
+    outputs = [(port, op.link) for port, op in enumerate(router.outputs)
+               if op is not None]
+    before = [len(link._in_flight) for _, link in outputs]
+    router.step(now)
+    return [(port, flit)
+            for (port, link), filed in zip(outputs, before)
+            for _, flit in list(link._in_flight)[filed:]]
+
+
 def run_steps(router: Router, cycles: int, start: int = 0):
     """Step the router over a time range, collecting forwarded flits."""
     forwarded = []
     for t in range(start, start + cycles):
-        forwarded += router.step(float(t))
+        forwarded += step(router, float(t))
     return forwarded
 
 
@@ -66,9 +79,9 @@ class TestPipelineTiming:
         links = attach_all_outputs(router)
         packet = Packet(1, src=0, dst=1, size=1, create_time=0)  # local eject
         inject(router, 0, packet, now=0.0)
-        assert router.step(0.0) == []          # RC done, waiting VA/SA
-        assert router.step(2.0) == []          # still in pipeline
-        forwarded = router.step(3.0)           # head_delay elapsed
+        assert step(router, 0.0) == []         # RC done, waiting VA/SA
+        assert step(router, 2.0) == []         # still in pipeline
+        forwarded = step(router, 3.0)          # head_delay elapsed
         assert len(forwarded) == 1
         assert forwarded[0][0] == 1            # ejection port of node 1
         assert links[1].has_in_flight
@@ -80,7 +93,7 @@ class TestPipelineTiming:
         inject(router, 0, packet, now=0.0)
         sent = []
         for t in range(8):
-            sent += [f.index for _, f in router.step(float(t))]
+            sent += [f.index for _, f in step(router, float(t))]
         assert sent == [0, 1, 2]
 
 
@@ -129,7 +142,7 @@ class TestWormhole:
         inject(router, 1, b, now=0.0, vc=0)
         order = []
         for t in range(14):
-            order += [f.packet.packet_id for _, f in router.step(float(t))]
+            order += [f.packet.packet_id for _, f in step(router, float(t))]
         # Ids must appear as two contiguous runs (one VC, held per packet).
         assert sorted(order) == [1, 1, 1, 2, 2, 2]
         switch_points = sum(
@@ -146,7 +159,7 @@ class TestWormhole:
         inject(router, 1, b, now=0.0, vc=0)
         order = []
         for t in range(16):
-            order += [f.packet.packet_id for _, f in router.step(float(t))]
+            order += [f.packet.packet_id for _, f in step(router, float(t))]
         # Different downstream VCs -> flit-level interleaving is allowed
         # (and the round-robin arbiter produces it).
         assert sorted(order) == [1, 1, 1, 1, 2, 2, 2, 2]

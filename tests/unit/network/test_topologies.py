@@ -1,15 +1,14 @@
 """Unit tests for the mesh topology.
 
 Covers the per-config topology memo, the mesh geometry, the analytic hop
-model, the LINK_OFF gating, the fault-detour order and the route-table
-build-before-wiring error.
+model, the fault-detour order and the route-table build-before-wiring
+error.
 """
 
 import pytest
 
 from repro.config import NetworkConfig
 from repro.errors import ConfigError
-from repro.network.links import EJECTION, INJECTION, MESH
 from repro.network.mesh import MeshTopology, get_topology
 from repro.network.router import Router
 from repro.network.routing import EAST, NORTH, OPPOSITE, SOUTH, WEST
@@ -68,12 +67,6 @@ class TestMeshGeometry:
         assert topology.neighbor(0, NORTH) is None
         assert topology.mesh_link_count() == 10
         assert topology.min_hops(0, 5) == 5
-
-    def test_link_off_gating_locals_only(self):
-        topology = MeshTopology(4, 4, 2)
-        assert topology.link_off_allowed(INJECTION)
-        assert topology.link_off_allowed(EJECTION)
-        assert not topology.link_off_allowed(MESH)
 
 
 class TestFallbackDirections:
