@@ -3,12 +3,16 @@
     python3 benchmarks/ab_gate.py BASE_REV
 
 Run from the root of a git checkout whose history holds ``BASE_REV``.
-The gate checks ``BASE_REV`` out as a temporary git worktree and then
-alternates unmodified simbench runs of base and head
+The gate checks ``BASE_REV`` and ``HEAD`` out as two detached git
+worktrees side by side under one temporary directory, so both sides run
+from the same kind of path, and then alternates unmodified simbench
+runs of base and head
 (``python3 simbench/run.py --workload W --seed S --seconds SECONDS``),
 one pair per workload and seed, the pair's order flipping from seed to
-seed.  It reads each run's last stdout line and fails (exit 1) when, on
-any workload,
+seed.  Head is the committed ``HEAD``: the gate refuses to start (exit
+2) while ``src/`` or ``simbench/`` has uncommitted changes, which its
+worktree would not contain.  It reads each run's last stdout line and
+fails (exit 1) when, on any workload,
 
 - the median of the paired head/base ``cpu_s`` ratios exceeds
   ``1 + BOUND``;
@@ -43,6 +47,9 @@ WORKLOADS = ("splash_trace", "figure_sweep")
 SEEDS = (101, 102, 103, 104, 105, 106, 107)
 #: ``--seconds`` of every run: seven to ten repetitions of either workload.
 SECONDS = 10
+#: The trees a simbench run reads: uncommitted changes here would be
+#: measured by nobody, so the gate refuses to start.
+MEASURED_PATHS = ("src", "simbench")
 #: Largest tolerated median head/base ``cpu_s`` ratio, minus one: above
 #: every median of identical trees measured on a shared 2-CPU host
 #: (highest 1.084), below the 15% slowdown the gate is meant to catch.
@@ -101,23 +108,41 @@ def verdict(workload: str, pairs: list[tuple[dict, dict]]) -> list[str]:
     return reasons
 
 
+def uncommitted_changes() -> list[str]:
+    """``git status --porcelain`` lines for the measured trees."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--",
+                           *MEASURED_PATHS], cwd=ROOT, capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.splitlines()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 benchmarks/ab_gate.py BASE_REV", file=sys.stderr)
         return 2
+    dirty = uncommitted_changes()
+    if dirty:
+        print("refusing to run: uncommitted changes under "
+              f"{' or '.join(MEASURED_PATHS)} would not be measured; "
+              "commit or stash them first:\n  " + "\n  ".join(dirty),
+              file=sys.stderr)
+        return 2
     pairs: dict[str, list[tuple[dict, dict]]] = {w: [] for w in WORKLOADS}
     with tempfile.TemporaryDirectory() as scratch:
-        base_dir = Path(scratch) / "base"
-        subprocess.run(["git", "worktree", "add", "--detach", str(base_dir),
-                        argv[0]], cwd=ROOT, check=True)
+        base_dir, head_dir = Path(scratch) / "base", Path(scratch) / "head"
+        added: list[Path] = []
         try:
+            for checkout, rev in ((base_dir, argv[0]), (head_dir, "HEAD")):
+                subprocess.run(["git", "worktree", "add", "--detach",
+                                str(checkout), rev], cwd=ROOT, check=True)
+                added.append(checkout)
             for index, seed in enumerate(SEEDS):
                 for workload in WORKLOADS:
-                    order = [base_dir, ROOT] if index % 2 == 0 else [
-                        ROOT, base_dir]
+                    order = [base_dir, head_dir] if index % 2 == 0 else [
+                        head_dir, base_dir]
                     runs = {checkout: run_simbench(checkout, workload, seed)
                             for checkout in order}
-                    base, head = runs[base_dir], runs[ROOT]
+                    base, head = runs[base_dir], runs[head_dir]
                     pairs[workload].append((base, head))
                     print(f"{workload} seed {seed}: base cpu_s "
                           f"{base['metrics']['cpu_s']['value']:.3f}, head "
@@ -125,8 +150,9 @@ def main(argv: list[str]) -> int:
                           f"{cpu_ratio(base, head):.3f}, "
                           f"{digest_note(base, head)}", flush=True)
         finally:
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            str(base_dir)], cwd=ROOT, check=False)
+            for checkout in added:
+                subprocess.run(["git", "worktree", "remove", "--force",
+                                str(checkout)], cwd=ROOT, check=False)
     reasons = [reason for workload in WORKLOADS
                for reason in verdict(workload, pairs[workload])]
     for workload in WORKLOADS:

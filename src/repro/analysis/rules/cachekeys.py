@@ -9,14 +9,14 @@ The warm execution stack leans on three content keys:
   ``NetworkPowerManager.reset`` may absorb a new config — it must
   compare exactly the fields the memo key is built from, or a warm
   rerun reuses a table built for a different config;
-* the ``SweepPoint`` dataclass consumed by both the cold
-  (``runner.run_point``) and warm (``warm.run_point_warm``) executors —
-  a field one path reads and the other ignores silently forks results
-  between execution modes (the journal's content hash itself iterates
-  ``dataclasses.fields`` and needs no rule).
+* the ``SweepPoint`` dataclass consumed by the sweep executor's point
+  runner (``warm.run_point_warm``) — a field the runner ignores is
+  hashed into the journal key but changes nothing the point computes
+  (the journal's content hash itself iterates ``dataclasses.fields``
+  and needs no rule).
 
 * **CK001** — a ``SweepPoint`` field is not read by every declared
-  consumer (cold/warm divergence).
+  consumer (the field never reaches the run).
 * **CK002** — a memoised builder reads a config field its memo key
   does not cover (stale-table aliasing).
 * **CK003** — the structural-compatibility guard and the memo key
@@ -30,13 +30,12 @@ from collections.abc import Iterable, Iterator
 
 from repro.analysis.framework import Finding, Project, Rule, SourceFile
 
-#: The dataclass whose fields must reach both executors.
+#: The dataclass whose fields must reach every declared consumer.
 SWEEP_MODULE = "repro/experiments/runner.py"
 SWEEP_CLASS = "SweepPoint"
 
 #: module (without ``src/``) -> {consumer function -> dataclass param}.
 SWEEP_CONSUMERS: dict[str, dict[str, str]] = {
-    "repro/experiments/runner.py": {"run_point": "point"},
     "repro/experiments/warm.py": {"run_point_warm": "point"},
 }
 
@@ -126,10 +125,10 @@ class SweepPointCoverageRule(Rule):
     rule_id = "CK001"
     name = "sweep-point-fields-reach-every-executor"
     description = ("a SweepPoint field is not read by every declared "
-                   "executor (cold/warm results would diverge)")
-    hint = ("thread the new field through run_point AND run_point_warm "
-            "(or drop it from the dataclass); the journal hash covers "
-            "fields automatically, the executors do not")
+                   "executor (the field never reaches the run)")
+    hint = ("thread the new field through run_point_warm (or drop it "
+            "from the dataclass); the journal hash covers fields "
+            "automatically, the executor does not")
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         sweep = _sweep_fields(project)

@@ -1,6 +1,6 @@
 """Hot-path purity rules (HP).
 
-The hot loop (``Simulator.run``'s inlined fast path, the router
+The hot loop (``Simulator.run``'s inlined phases, the router
 work-list scan, the delivery schedule and event wheel) runs hundreds of
 millions of iterations per benchmark.  The perf pass that built it (see
 ``docs/performance.md``) relies on a handful of disciplines that decay
@@ -10,7 +10,7 @@ silently under maintenance; these rules pin them:
   lookups per iteration.
 * ``HP002`` — no logging/print/warnings calls: even a disabled logger
   call costs an attribute lookup, an arg tuple and a level check per
-  event; telemetry belongs in hooks on the *instrumented* path.
+  event; telemetry belongs in hooks.
 * ``HP003`` — no lambdas or nested ``def``: building a closure object
   per call defeats the method-alias prebinding the fast path uses.
 * ``HP004`` — no comprehensions/generator expressions: each one
@@ -38,8 +38,6 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         "Simulator.run",
         "Simulator.step",
         "Simulator._phase_deliver",
-        "Simulator._phase_route",
-        "Simulator._phase_inject",
     }),
     "repro/network/router.py": frozenset({
         "Router.step",
@@ -171,7 +169,7 @@ class LoggingInHotPathRule(_HotPathRule):
     name = "hot-path-logging"
     description = ("print/logging/warnings calls in the hot loop cost an "
                    "allocation and a level check per event even when "
-                   "disabled; use hooks on the instrumented path")
+                   "disabled; observe through hooks instead")
     hint = "emit through a hook, or log outside the loop"
 
     def check_hot_function(self, src: SourceFile, qualified: str,

@@ -269,7 +269,7 @@ class SimulationConfig:
     warmup_cycles: int = 0
     sample_interval: int = 1000
     #: Stall watchdog: raise SimulationError if packets are in flight but
-    #: none is delivered for this many cycles (0 = disabled).  A true
+    #: no flit moves onto a link for this many cycles (0 = disabled).  A true
     #: deadlock is always a simulator bug (XY routing + credits is
     #: deadlock-free); the watchdog turns a silent hang into a diagnosis.
     stall_limit_cycles: int = 0

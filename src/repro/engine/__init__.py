@@ -11,7 +11,7 @@ layers plug into:
   wake-ups replacing per-cycle ``now % period`` polling;
 * :class:`~repro.engine.hooks.HookRegistry` — typed observer hooks
   (``phase_start``/``phase_end``, ``window``, ``transition``,
-  ``delivery``) for profilers, watchdogs and metrics samplers;
+  ``delivery``) for profilers, recorders and metrics samplers;
 * :class:`~repro.engine.profiler.PhaseProfiler` — per-phase wall-time
   attribution built on the phase hooks.
 

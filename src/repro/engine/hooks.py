@@ -1,18 +1,19 @@
 """Typed observer hooks for the simulation engine.
 
-Anything that wants to watch a run — the per-phase wall-time profiler, the
-stall watchdog, level-over-time samplers in :mod:`repro.metrics.inspect`,
-tests — attaches here instead of being hard-wired into ``Simulator.step``.
-The registry is intentionally dumb: plain callback lists per event, fired
-synchronously in registration order.  Empty lists cost one truthiness
-check on the hot path.
+Anything that wants to watch a run — the per-phase wall-time profiler,
+level-over-time samplers in :mod:`repro.metrics.inspect`, the trace
+recorder, tests — attaches here instead of being hard-wired into
+``Simulator.run``.  The registry is intentionally dumb: plain callback
+lists per event, fired synchronously in registration order.  Empty lists
+cost one truthiness check on the hot path.
 
 Events
 ------
 ``phase_start`` / ``phase_end``
     ``cb(phase_name, cycle)`` around each simulator phase (``deliver``,
-    ``route``, ``inject``, ``generate``, ``control``).  Registering either
-    switches the step loop to its instrumented form.
+    ``route``, ``inject``, ``generate``, ``control``).  ``Simulator.run``
+    checks for them once on entry and then fires them from its one
+    loop, so attach before running.
 ``window``
     ``cb(start_cycle, end_cycle)`` after the power manager has evaluated
     every link's policy at a window boundary.
@@ -29,7 +30,8 @@ Events
     recorded to the power series.
 ``delivery``
     ``cb(link, flit, now)`` for every flit delivered off a link into a
-    downstream buffer or node sink.  This is the hottest hook; it is only
+    downstream buffer or node sink, once the link has handed over all
+    its flits due this cycle.  This is the hottest hook; it is only
     evaluated while at least one callback is registered.  Registering
     one also restores per-flit filing of ejection body flits, which
     unhooked runs move as runs and never hand over (see

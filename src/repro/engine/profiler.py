@@ -2,9 +2,10 @@
 
 Answers "where does a run actually spend its time?" — delivery, routing,
 injection, traffic generation or power control — by attaching to the
-engine's ``phase_start``/``phase_end`` hooks.  Attaching switches the step
-loop to its instrumented form (two clock reads per phase), so profile
-dedicated runs rather than leaving a profiler attached in benchmarks.
+engine's ``phase_start``/``phase_end`` hooks.  A profiled run executes the
+same loop as an unprofiled one, plus two hook calls and two clock reads
+per phase, so profile dedicated runs rather than leaving a profiler
+attached in benchmarks.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class PhaseProfiler:
         return self
 
     def detach(self) -> None:
-        """Stop timing and restore the uninstrumented step loop."""
+        """Stop timing; runs started afterwards fire no phase hooks."""
         if self._registry is None:
             raise ConfigError("profiler is not attached")
         self._registry.remove("phase_start", self._on_phase_start)

@@ -3,7 +3,7 @@
 The execution harness claims to survive worker crashes, hangs and
 out-of-memory failures.  Claims like that rot unless the failure modes
 are reproducible on demand, so :func:`maybe_inject` sits at the top of
-:func:`~repro.experiments.runner.run_point` and — **only** when the
+:func:`~repro.experiments.warm.run_point_warm` and — **only** when the
 ``REPRO_CHAOS`` environment variable is set — sabotages matching points:
 
 * ``crash`` — ``SIGKILL`` the executing process (a worker dying takes
@@ -128,7 +128,7 @@ def _cached_plan(spec: str) -> tuple[ChaosDirective, ...]:
 def maybe_inject(label: str, attempt: int) -> None:
     """Sabotage the current point if the environment orders it.
 
-    Called at the top of ``run_point``; a no-op (one ``environ`` lookup)
+    Called at the top of ``run_point_warm``; a no-op (one ``environ`` lookup)
     unless :data:`ENV_VAR` is set.  ``crash`` never returns; ``hang`` /
     ``hang_hard`` return only if something interrupts the sleep; the
     other modes raise.

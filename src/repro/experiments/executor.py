@@ -100,13 +100,6 @@ class ExecutionPlan:
     strict: bool = False
     #: JSONL path for executor lifecycle trace events; ``None`` = off.
     trace_path: str | None = None
-    #: Run points on warm workers: each worker keeps a small per-process
-    #: construction cache (:mod:`repro.experiments.warm`) and reruns the
-    #: next structurally-matching point on the same reset fabric.
-    #: Bit-identical to cold execution (hypothesis-tested); a respawned
-    #: worker simply starts with a cold cache.  ``False`` restores the
-    #: historical build-from-scratch path.
-    warm: bool = True
 
     def __post_init__(self) -> None:
         if self.timeout is not None and self.timeout <= 0:
@@ -206,23 +199,22 @@ class SweepOutcome:
 
 
 def _guarded_attempt(point: "SweepPoint", attempt: int,
-                     timeout_s: float | None,
-                     warm: bool = True) -> "RunResult":
+                     timeout_s: float | None) -> "RunResult":
     """One attempt at one point, under the soft-timeout alarm guard.
 
-    Module-level so process pools can pickle it (the plan itself is not
-    shipped to workers, so the ``warm`` knob travels as an argument).
-    ``warm=True`` runs the point through the per-process construction
-    cache (:mod:`repro.experiments.warm`); results are bit-identical
-    either way.  The guard uses ``SIGALRM`` (delivered between
-    bytecodes, so it interrupts any pure-Python hang); it is skipped off
-    the main thread or on platforms without ``setitimer``, where only
-    the supervisor's hard deadline applies.
+    Module-level so process pools can pickle it.  The point runs through
+    the per-process construction cache (:mod:`repro.experiments.warm`):
+    each worker reruns the next structurally-matching point on the same
+    reset fabric, bit-identical to a fresh build (hypothesis-tested), and
+    a respawned worker simply starts with a cold cache.  The runner is
+    looked up as a module attribute on every attempt, so a wrapper
+    patched onto ``warm.run_point_warm`` is honoured.  The guard uses
+    ``SIGALRM`` (delivered between bytecodes, so it interrupts any
+    pure-Python hang); it is skipped off the main thread or on platforms
+    without ``setitimer``, where only the supervisor's hard deadline
+    applies.
     """
-    if warm:
-        from repro.experiments.warm import run_point_warm as run_attempt
-    else:
-        from repro.experiments.runner import run_point as run_attempt
+    from repro.experiments.warm import run_point_warm as run_attempt
 
     usable = (timeout_s is not None
               and hasattr(signal, "setitimer")
@@ -383,8 +375,7 @@ class ResilientSweepExecutor:
                 started = self.clock()
                 try:
                     result = _guarded_attempt(slot.point, slot.attempts + 1,
-                                              self.plan.timeout,
-                                              self.plan.warm)
+                                              self.plan.timeout)
                 except Exception as exc:
                     cause = (CAUSE_TIMEOUT
                              if isinstance(exc, PointTimeoutError)
@@ -429,8 +420,7 @@ class ResilientSweepExecutor:
                     slot = slots[position]
                     try:
                         future = pool.submit(_guarded_attempt, slot.point,
-                                             slot.attempts + 1, plan.timeout,
-                                             plan.warm)
+                                             slot.attempts + 1, plan.timeout)
                     except BrokenProcessPool:
                         # A worker died between wait() rounds, so the
                         # breakage surfaces here rather than through a

@@ -26,7 +26,6 @@ from repro.config import (
     SimulationConfig,
 )
 from repro.errors import ConfigError
-from repro.experiments import chaos
 from repro.experiments.configs import ExperimentScale
 from repro.metrics.summary import NormalisedResult, RunResult, normalise
 from repro.network.simulator import Simulator
@@ -192,20 +191,6 @@ class SweepPoint:
     faults: FaultConfig | None = None
 
 
-def run_point(point: SweepPoint, attempt: int = 1) -> RunResult:
-    """Execute one sweep point (module-level, so process pools can map it).
-
-    ``attempt`` is threaded in by the resilient executor so the chaos
-    harness can sabotage specific attempts; direct callers can ignore it.
-    """
-    chaos.maybe_inject(point.label, attempt)
-    return run_simulation(
-        point.scale, point.power, point.traffic_factory,
-        label=point.label, seed=point.seed,
-        cycles=point.cycles, drain=point.drain, faults=point.faults,
-    )
-
-
 def run_sweep(points: Iterable[SweepPoint], *,
               max_workers: int | None = 1,
               execution: "ExecutionPlan | None" = None
@@ -213,10 +198,12 @@ def run_sweep(points: Iterable[SweepPoint], *,
     """Run every point, returning results in point order.
 
     ``max_workers=1`` (the default) runs in-process; ``None`` uses one
-    worker per CPU; any other value caps the pool size.  Because every
-    point carries its own seed and runs in a fresh simulator, the results
-    are bit-identical whatever ``max_workers`` is — parallelism is purely
-    a wall-clock optimisation.
+    worker per CPU; any other value caps the pool size.  Every point
+    carries its own seed, and a point rerun on a worker's reset
+    simulator (:mod:`repro.experiments.warm`) is bit-identical to one
+    run on a freshly built simulator, so the results are bit-identical
+    whatever ``max_workers`` is — parallelism is purely a wall-clock
+    optimisation.
 
     All execution goes through :mod:`repro.experiments.executor` futures,
     so one worker's crash or exception never discards sibling results.

@@ -99,10 +99,13 @@ def _acquire(config: SimulationConfig, traffic: TrafficSource) -> Simulator:
 def run_point_warm(point: SweepPoint, attempt: int = 1) -> RunResult:
     """Execute one sweep point on a warm (cached) simulator.
 
-    Drop-in replacement for :func:`~repro.experiments.runner.run_point`
-    with bit-identical results; module-level so process pools can map it.
-    ``attempt`` is threaded in by the resilient executor for the chaos
-    harness, exactly as in ``run_point``.
+    The sweep executor's one point runner: module-level so process pools
+    can map it.  With an empty cache it builds cold; either way the
+    result is bit-identical to
+    :func:`~repro.experiments.runner.run_simulation` on a fresh
+    simulator.  ``attempt`` is threaded in by the resilient executor so
+    the chaos harness can sabotage specific attempts; direct callers can
+    ignore it.
     """
     chaos.maybe_inject(point.label, attempt)
     scale = point.scale

@@ -96,7 +96,7 @@ class Link:
         self.deliver: Callable[[Flit, float], None] | None = None
         #: ``(router, port, input_port)`` for a link feeding a router
         #: input, set with ``deliver`` by the topology builder: the
-        #: unhooked deliver phase pushes into that port's VC buffers
+        #: deliver phase pushes into that port's VC buffers
         #: itself instead of calling ``deliver``.  ``None`` (ejection
         #: links, standalone links) always goes through ``deliver``; a
         #: caller that replaces ``deliver`` must clear it (and, on an

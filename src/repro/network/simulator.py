@@ -27,9 +27,10 @@ periodic work is event-scheduled on an
 modulo checks every cycle.  The engine's behaviour is pinned by the
 committed digest corpus in ``tests/integration/test_golden_corpus.py``.
 
-Observers (profilers, watchdogs, metrics samplers) attach through
+Observers (profilers, metrics samplers, telemetry) attach through
 :attr:`Simulator.hooks`, a typed :class:`~repro.engine.hooks.HookRegistry`
-— nothing else is hard-wired into the step loop.
+— nothing else is hard-wired into the run loop, which is the same code
+whether or not anything is attached.
 
 Determinism: given identical configs and seeds, runs are bit-identical —
 there is no wall-clock or unordered-set iteration in any decision path
@@ -47,13 +48,14 @@ from repro.engine.hooks import HookRegistry
 from repro.engine.schedule import DeliverySchedule
 from repro.engine.wheel import PRI_WATCHDOG, EventWheel
 from repro.errors import ConfigError, SimulationError
-from repro.network.links import EJECTION, Link
+from repro.network.links import EJECTION
 from repro.network.stats import StatsCollector
 from repro.network.topology import NetworkFabric, Node
 from repro.traffic.base import TrafficSource
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports (cycle guard)
     from repro.core.manager import NetworkPowerManager
+    from repro.network.links import Link
     from repro.network.router import Router
     from repro.reliability.manager import ReliabilityManager
     from repro.telemetry.recorder import TraceRecorder
@@ -71,8 +73,9 @@ def _stall_error(sim: "Simulator", description: str) -> SimulationError:
     The ``congestion_report`` import and its network-wide snapshot walk
     live here so the periodic stall *checks* — which run for the whole
     life of every healthy simulation — never pay for the diagnosis
-    machinery: the common path is a couple of integer compares and
-    allocates nothing (regression-tested).
+    machinery: the common path is a sum over the links and a couple of
+    integer compares, and never imports the diagnosis module
+    (regression-tested).
     """
     from repro.metrics.inspect import congestion_report
 
@@ -82,13 +85,18 @@ def _stall_error(sim: "Simulator", description: str) -> SimulationError:
 class StallWatchdog:
     """Turns a silent simulator hang into a diagnosis.
 
-    Attaches through the engine: a ``delivery`` hook records the last cycle
-    any flit moved off a link, and a recurring event-wheel check raises
+    Attaches through the engine: a recurring event-wheel check sums the
+    flits every link has carried (``Link.flits_carried``, bumped per
+    push) and notes the check's cycle as progress whenever the sum moved
+    since the previous check.  It raises
     :class:`~repro.errors.SimulationError` when packets are in flight but
-    nothing has moved for ``limit`` cycles.
+    no flit has moved for ``limit`` cycles (detected within one
+    :data:`WATCHDOG_INTERVAL` of that).  It registers no ``delivery``
+    hook, so the watched run takes the same deliver path as an
+    unwatched one.
     """
 
-    __slots__ = ("sim", "limit", "_last_progress_cycle")
+    __slots__ = ("sim", "limit", "_last_progress_cycle", "_last_carried")
 
     def __init__(self, sim: "Simulator", limit: int):
         self.sim = sim
@@ -97,21 +105,28 @@ class StallWatchdog:
         # attached to a simulator that has already run would otherwise
         # report a bogus stall spanning the whole pre-attach history.
         self._last_progress_cycle = sim.cycle
+        self._last_carried = self._carried()
 
     def attach(self) -> "StallWatchdog":
-        self.sim.hooks.add("delivery", self._on_delivery)
         self.sim.wheel.schedule(self.sim.cycle, self._check, PRI_WATCHDOG)
         return self
 
-    def _on_delivery(self, link: Link, flit, now: int) -> None:
-        self._last_progress_cycle = now
+    def _carried(self) -> int:
+        total = 0
+        for link in self.sim.network.links:
+            total += link.flits_carried
+        return total
 
     def _check(self, now: int) -> None:
+        carried = self._carried()
+        if carried != self._last_carried:
+            self._last_carried = carried
+            self._last_progress_cycle = now
         stalled = now - self._last_progress_cycle
         if self.sim.stats.in_flight > 0 and stalled >= self.limit:
             raise _stall_error(
                 self.sim,
-                f"no flit delivered for {stalled} cycles with "
+                f"no flit moved for {stalled} cycles with "
                 f"{self.sim.stats.in_flight} packets in flight — likely a "
                 "flow-control bug.",
             )
@@ -210,9 +225,6 @@ class Simulator:
         self.stats.packet_hooks = self.hooks.packet_delivered
         if self.power is not None:
             self.power.hooks = self.hooks
-        self._phases = tuple(
-            (name, getattr(self, f"_phase_{name}")) for name in PHASES
-        )
         self.reliability: "ReliabilityManager | None" = None
         self.telemetry: "TraceRecorder | None" = None
         if config.telemetry is not None:
@@ -260,20 +272,7 @@ class Simulator:
 
     def step(self) -> None:
         """Advance the system by one router cycle."""
-        now = self.cycle
-        hooks = self.hooks
-        if hooks.phase_start or hooks.phase_end:
-            starts, ends = hooks.phase_start, hooks.phase_end
-            for name, phase in self._phases:
-                for callback in starts:
-                    callback(name, now)
-                phase(now)
-                for callback in ends:
-                    callback(name, now)
-        else:
-            for _, phase in self._phases:
-                phase(now)
-        self.cycle = now + 1
+        self.run(1)
 
     # -- phases ------------------------------------------------------------------
 
@@ -286,30 +285,42 @@ class Simulator:
         flits to the fault state's filter (CRC trials, retransmission)
         once per entry; entries that find nothing due are no-ops.
 
-        Without ``delivery`` hooks, a fault-free link with a ``sink``
-        (every router-bound link) has its flit pushed straight into the
-        router's VC buffer: :meth:`Router.receive_flit`, inlined, which
-        it still calls to raise its diagnostics.
+        A fault-free link with a ``sink`` (every router-bound link) has
+        its flit pushed straight into the router's VC buffer:
+        :meth:`Router.receive_flit`, inlined, which it still calls to
+        raise its diagnostics.  ``delivery`` hooks fire once a link has
+        handed over all its flits due this cycle (a link's entries are
+        adjacent after the sort; ``service_time < 1`` can make it
+        deliver twice a cycle), for each of them, front first.
         """
         due = self._calendar.pop_due(now)
         if not due:
             return
         links = self.network.links
-        delivery_hooks = self.hooks.delivery
-        if not delivery_hooks:
-            for link_id in due:
-                link = links[link_id]
-                faults = link.faults
-                if faults is not None:
-                    deliver = link.deliver
-                    for flit in faults.filter_arrivals(now):
-                        deliver(flit, now)
-                    continue
-                flit = link._in_flight.popleft()[1]
-                sink = link.sink
-                if sink is None:
-                    link.deliver(flit, now)
-                    continue
+        hooked = bool(self.hooks.delivery)
+        handed: list = []
+        handing = None
+        for link_id in due:
+            link = links[link_id]
+            if hooked and link is not handing:
+                if handed:
+                    self._fire_delivery(handing, handed, now)
+                    handed = []
+                handing = link
+            faults = link.faults
+            if faults is not None:
+                arrivals = faults.filter_arrivals(now)
+                deliver = link.deliver
+                for flit in arrivals:
+                    deliver(flit, now)
+                if hooked:
+                    handed += arrivals
+                continue
+            flit = link._in_flight.popleft()[1]
+            sink = link.sink
+            if sink is None:
+                link.deliver(flit, now)
+            else:
                 router, port, ip = sink
                 vc = flit.vc
                 if not 0 <= vc < router.num_vcs:
@@ -327,86 +338,47 @@ class Simulator:
                 ip.nonempty |= 1 << vc
                 ip.occupancy += 1
                 router._active_mask |= 1 << port
-            return
-        # Observed path: hand over all of one link's due flits, then fire
-        # the hooks for them (a link's entries are adjacent after the
-        # sort; ``service_time < 1`` can make it deliver twice a cycle).
-        count = len(due)
-        index = 0
-        while index < count:
-            link_id = due[index]
-            end = index + 1
-            while end < count and due[end] == link_id:
-                end += 1
-            link = links[link_id]
-            if link.faults is None:
-                popleft = link._in_flight.popleft
-                arrivals = []
-                for _ in range(end - index):
-                    arrivals.append(popleft()[1])
-            else:
-                arrivals = link.faults.filter_arrivals(now)
-            index = end
-            deliver = link.deliver
-            for flit in arrivals:
-                deliver(flit, now)
-            for flit in arrivals:
-                for callback in delivery_hooks:
-                    callback(link, flit, now)
+            if hooked:
+                handed.append(flit)
+        if handed:
+            self._fire_delivery(handing, handed, now)
 
-    def _phase_route(self, now: int) -> None:
-        """Switch allocation + traversal for every router with work."""
-        active = self._active_routers
-        if active:
-            for router in active.snapshot():
-                router.step(now)
+    def _fire_delivery(self, link: "Link", flits: list, now: int) -> None:
+        """Fire the ``delivery`` hooks for flits ``link`` just handed over."""
+        callbacks = self.hooks.delivery
+        for flit in flits:
+            for callback in callbacks:
+                callback(link, flit, now)
 
-    def _phase_inject(self, now: int) -> None:
-        """Source-queue injection for every node with queued flits."""
-        active = self._active_nodes
-        if active:
-            for node in active.snapshot():
-                node.step(now)
-
-    def _phase_generate(self, now: int) -> None:
-        """Create this cycle's new traffic."""
-        nodes = self.network.nodes
-        stats = self.stats
-        for packet in self.traffic.generate(now):
-            stats.packet_created(packet, now)
-            nodes[packet.src].enqueue_packet(packet)
-
-    def _phase_control(self, now: int) -> None:
-        """Service the event wheel: transitions, windows, epochs, samples
-        and the watchdog due this cycle, in that priority order."""
-        wheel = self.wheel
-        if wheel.next_cycle <= now:
-            wheel.service(now)
+    def _phase_edge(self, ended: str | None, started: str | None,
+                    now: int) -> None:
+        """Fire ``phase_end`` for ``ended``, then ``phase_start`` for
+        ``started`` (either may be ``None``)."""
+        hooks = self.hooks
+        if ended is not None:
+            for callback in hooks.phase_end:
+                callback(ended, now)
+        if started is not None:
+            for callback in hooks.phase_start:
+                callback(started, now)
 
     # -- driving -----------------------------------------------------------------
 
     def run(self, cycles: int) -> None:
         """Run ``cycles`` more cycles.
 
-        Whether the run is instrumented (fires ``phase_start``/``phase_end``
-        hooks) is decided once on entry; attach phase hooks before calling.
+        The phases run in :data:`PHASES` order.  Whether ``phase_start``/
+        ``phase_end`` hooks fire around them is decided once on entry;
+        attach phase hooks before calling.
         """
         if cycles < 0:
             raise ConfigError(f"cycles must be >= 0, got {cycles!r}")
-        hooks = self.hooks
-        if hooks.phase_start or hooks.phase_end:
-            step = self.step
-            for _ in range(cycles):
-                step()
-            return
-        # Uninstrumented fast loop: the route/inject/generate/control phase
-        # bodies are inlined with their bindings hoisted out of the loop,
-        # because five method calls per cycle cost more than the phases
-        # themselves on a quiet cycle: on an idle 4x4x8 mesh this loop
-        # measured 884-991 ns per cycle against 1040-1851 ns for one
-        # calling the ``_phase_*`` methods (docs/performance.md, "The
-        # specialised run loop").  The methods serve the instrumented
-        # :meth:`step` path; the golden corpus pins both.
+        traced = self.hooks.instrumented
+        edge = self._phase_edge
+        # The route/inject/generate/control phase bodies are inlined with
+        # their bindings hoisted out of the loop, because a method call
+        # per phase costs more than the phase itself on a quiet cycle
+        # (docs/performance.md, "The run loop").
         deliver = self._phase_deliver
         active_routers = self._active_routers
         active_nodes = self._active_nodes
@@ -420,18 +392,30 @@ class Simulator:
         generate = self.traffic.generate
         for _ in range(cycles):
             now = self.cycle
+            if traced:
+                edge(None, "deliver", now)
             deliver(now)
+            if traced:
+                edge("deliver", "route", now)
             if router_members:
                 for router in active_routers.snapshot():
                     router.step(now)
+            if traced:
+                edge("route", "inject", now)
             if node_members:
                 for node in active_nodes.snapshot():
                     node.step(now)
+            if traced:
+                edge("inject", "generate", now)
             for packet in generate(now):
                 stats.packet_created(packet, now)
                 nodes[packet.src].enqueue_packet(packet)
+            if traced:
+                edge("generate", "control", now)
             if wheel.next_cycle <= now:
                 wheel.service(now)
+            if traced:
+                edge("control", None, now)
             self.cycle = now + 1
 
     def run_until_drained(self, max_cycles: int,
@@ -444,11 +428,8 @@ class Simulator:
         starting cycle*, so resuming from an arbitrary cycle still polls on
         schedule.
 
-        Each poll interval is executed as one :meth:`run` batch, so the
-        cycles between drain checks go through the same uninstrumented fast
-        path ``run`` uses instead of paying the per-call :meth:`step` hook
-        check every cycle (regression-tested bit-identical to the stepped
-        loop).
+        Each poll interval is executed as one :meth:`run` batch
+        (regression-tested bit-identical to stepping cycle by cycle).
         """
         if max_cycles < 1:
             raise ConfigError("max_cycles must be >= 1")

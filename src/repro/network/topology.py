@@ -305,7 +305,7 @@ def _wire_router_sink(link: Link, router: Router, port: int) -> None:
     """Point ``link`` at ``router``'s input ``port``.
 
     ``deliver`` is a C-level ``partial`` rather than a Python closure
-    (no extra interpreter frame per flit); ``sink`` lets the unhooked
+    (no extra interpreter frame per flit); ``sink`` lets the
     deliver phase skip even that call.
     """
     link.deliver = partial(router.receive_flit, port)

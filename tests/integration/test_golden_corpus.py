@@ -18,20 +18,20 @@ its output; this corpus is the oracle instead.  It has three parts:
 * **traces** — drained SPLASH-2-like trace replays (Fig. 7 / Table 3)
   with the paper's 48-flit mean packets, the long worms the grid's
   5-flit uniform packets barely form.  A trace cell runs cold (traced,
-  stepped) and warm (reset after the other benchmark, untraced,
-  inlined); both must give its pinned state digest.
+  stepped) and warm (reset after the other benchmark, untraced, one
+  ``run`` call); both must give its pinned state digest.
 
 Each grid and regime cell runs twice.  The *cold* run is a fresh
 simulator with telemetry recording into a ring sink that holds every
 event; its policy/transition hooks also switch quiet-link parking off.
-It advances one :meth:`Simulator.step` at a time, through the
-``_phase_*`` methods.  It pins a state digest (``summary()``, power
-series, level histogram, reliability report) and an event-stream
-digest.  The *warm* run resets a simulator that has just run the same
-fabric at another load and runs untraced, with parking on, through the
-inlined :meth:`Simulator.run` loop; its state digest must equal the
-cold run's.  One digest therefore covers warm == cold, traced ==
-untraced, parked == full-path and stepped == inlined.
+It advances one :meth:`Simulator.step` at a time.  It pins a state
+digest (``summary()``, power series, level histogram, reliability
+report) and an event-stream digest.  The *warm* run resets a simulator
+that has just run the same fabric at another load and runs untraced,
+with parking on, in one :meth:`Simulator.run` call; its state digest
+must equal the cold run's.
+One digest therefore covers warm == cold, traced == untraced, parked ==
+full-path and stepped == batched.
 
 A deliberate behaviour change re-pins the corpus in the same change and
 says why.  Regenerate it from the repo root with::
@@ -214,7 +214,8 @@ def run_cold(cell: Cell) -> tuple[Simulator, int]:
 
 
 def run_warm(sim: Simulator, cell: Cell) -> None:
-    """Reset ``sim`` (which just ran another load), run ``cell`` inlined."""
+    """Reset ``sim`` (which just ran another load), run ``cell`` in one
+    :meth:`Simulator.run` call."""
     sim.reset(cell_config(cell, traced=False), cell_traffic(cell))
     sim.run(cell.cycles)
 

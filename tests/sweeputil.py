@@ -11,7 +11,7 @@ itself and mask genuine divergence).
 from repro.config import NetworkConfig
 from repro.experiments.configs import ExperimentScale
 from repro.experiments.fig5 import uniform_factory
-from repro.experiments.runner import SweepPoint
+from repro.experiments.runner import SweepPoint, run_simulation
 
 TINY = ExperimentScale(
     name="tiny",
@@ -30,3 +30,13 @@ def tiny_point(label="p", seed=1, cycles=1_200, rate=0.05):
     return SweepPoint(label=label, scale=TINY, power=None,
                       traffic_factory=uniform_factory(rate), seed=seed,
                       cycles=cycles)
+
+
+def run_fresh(point):
+    """``point`` run on a freshly built simulator: the reference a warm
+    (reset) rerun must equal bit for bit."""
+    return run_simulation(
+        point.scale, point.power, point.traffic_factory,
+        label=point.label, seed=point.seed, cycles=point.cycles,
+        drain=point.drain, faults=point.faults,
+    )

@@ -12,22 +12,15 @@ def rule_ids_of(result):
     return [finding.rule_id for finding in result.findings]
 
 
-def runner_module(fields: str, run_point_body: str) -> str:
-    return (
-        "class SweepPoint:\n"
-        f"{fields}"
-        "\n"
-        "def run_point(point):\n"
-        f"{run_point_body}"
-    )
+def runner_module(fields: str) -> str:
+    return "class SweepPoint:\n" + fields
 
 
 class TestSweepPointCoverage:
     def test_flags_field_missing_from_one_executor(self, check_tree):
         result = check_tree({
             "repro/experiments/runner.py": runner_module(
-                "    label: str\n    seed: int\n",
-                "    return (point.label, point.seed)\n"),
+                "    label: str\n    seed: int\n"),
             "repro/experiments/warm.py": (
                 "def run_point_warm(point):\n"
                 "    return point.label\n"),
@@ -41,8 +34,7 @@ class TestSweepPointCoverage:
     def test_every_field_reaching_both_executors_passes(self, check_tree):
         result = check_tree({
             "repro/experiments/runner.py": runner_module(
-                "    label: str\n    seed: int\n",
-                "    return (point.label, point.seed)\n"),
+                "    label: str\n    seed: int\n"),
             "repro/experiments/warm.py": (
                 "def run_point_warm(point):\n"
                 "    return (point.label, point.seed)\n"),
@@ -52,8 +44,7 @@ class TestSweepPointCoverage:
     def test_absent_consumer_module_stays_quiet(self, check_tree):
         result = check_tree({
             "repro/experiments/runner.py": runner_module(
-                "    label: str\n",
-                "    return point.label\n"),
+                "    label: str\n"),
         }, rule_ids=["CK001"])
         assert result.ok
 

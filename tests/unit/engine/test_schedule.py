@@ -174,6 +174,7 @@ class TestDeliveryContract:
             link.deliver = (lambda link_id: lambda flit, now:
                             events.append(("deliver", link_id,
                                            flit.index)))(link.link_id)
+            link.sink = None
         sim.hooks.add("delivery", lambda link, flit, now: events.append(
             ("hook", link.link_id, flit.index)))
         fast, slow = sim.network.links[1], sim.network.links[4]

@@ -19,9 +19,9 @@ from repro.experiments.executor import (
     SweepOutcome,
     execute_sweep,
 )
-from repro.experiments.runner import run_point, run_sweep
+from repro.experiments.runner import run_sweep
 
-from tests.sweeputil import tiny_point
+from tests.sweeputil import run_fresh, tiny_point
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ class TestSerialExecution:
         assert [r.label for r in outcome.results] == ["p0", "p1", "p2"]
         assert outcome.stats.executed == 3
         assert outcome.stats.cached == 0
-        assert outcome.results == [run_point(p) for p in points]
+        assert outcome.results == [run_fresh(p) for p in points]
 
     def test_journal_dedups_identical_points_within_a_sweep(self, tmp_path):
         plan = ExecutionPlan(journal=tmp_path / "j.sqlite")
@@ -157,7 +157,7 @@ class TestRetriesAndDegradation:
         assert outcome.stats.failed == 0
         assert delays == [0.25]
         # The sabotaged point still produced the untouched result.
-        assert outcome.results[0] == run_point(tiny_point(label="flaky"))
+        assert outcome.results[0] == run_fresh(tiny_point(label="flaky"))
 
     def test_exhausted_point_degrades_without_losing_siblings(
             self, monkeypatch, tmp_path):
@@ -169,9 +169,9 @@ class TestRetriesAndDegradation:
         outcome = execute_sweep(points, plan=plan)
         monkeypatch.delenv("REPRO_CHAOS")
         assert not outcome.complete
-        assert outcome.results[0] == run_point(points[0])
+        assert outcome.results[0] == run_fresh(points[0])
         assert outcome.results[1] is None
-        assert outcome.results[2] == run_point(points[2])
+        assert outcome.results[2] == run_fresh(points[2])
         assert outcome.stats.failed == 1
         [failure] = outcome.report.failures
         assert failure.label == "doomed"

@@ -9,9 +9,8 @@ import pytest
 from repro.errors import ConfigError
 from repro.experiments.fig5 import uniform_factory
 from repro.experiments.journal import SweepJournal, point_key
-from repro.experiments.runner import run_point
 
-from tests.sweeputil import tiny_point
+from tests.sweeputil import run_fresh, tiny_point
 
 
 class TestPointKey:
@@ -56,7 +55,7 @@ class TestPointKey:
 class TestJournalPersistence:
     def test_done_round_trip_is_bit_identical(self, tmp_path):
         point = tiny_point()
-        result = run_point(point)
+        result = run_fresh(point)
         key = point_key(point)
         path = tmp_path / "j.sqlite"
         with SweepJournal(path) as journal:
@@ -99,7 +98,7 @@ class TestJournalPersistence:
 
     def test_done_overwrites_failed(self, tmp_path):
         point = tiny_point()
-        result = run_point(point)
+        result = run_fresh(point)
         key = point_key(point)
         with SweepJournal(tmp_path / "j.sqlite") as journal:
             journal.record_failed(key, point.label, 1, "boom", 0.1,
@@ -124,7 +123,7 @@ class TestJournalPersistence:
         # and read through a brand-new one.
         path = tmp_path / "j.sqlite"
         point = tiny_point()
-        result = run_point(point)
+        result = run_fresh(point)
         journal = SweepJournal(path)
         journal.record_done(point_key(point), point.label, result, 1, 0.1,
                             attempt_elapsed=0.1)

@@ -8,19 +8,18 @@ import time
 import pytest
 
 from repro.config import NetworkConfig, PowerAwareConfig
-from repro.errors import ConfigError
 from repro.experiments import warm
 from repro.experiments.configs import ExperimentScale
 from repro.experiments.fig5 import uniform_factory
 from repro.experiments.journal import point_key
-from repro.experiments.runner import SweepPoint, run_pair, run_point
+from repro.experiments.runner import SweepPoint, run_pair
 from repro.experiments.warm import (
     cache_info,
     clear_cache,
     run_point_warm,
     structural_key,
 )
-from tests.sweeputil import TINY, tiny_point
+from tests.sweeputil import TINY, run_fresh, tiny_point
 
 
 @pytest.fixture(autouse=True)
@@ -46,7 +45,7 @@ class TestStructuralKey:
 class TestWarmExecution:
     def test_bit_identical_to_cold(self):
         points = [tiny_point(label=f"p{i}", seed=i + 1) for i in range(3)]
-        cold = [run_point(p) for p in points]
+        cold = [run_fresh(p) for p in points]
         assert [run_point_warm(p) for p in points] == cold
 
     def test_cache_hits_after_first_point(self):
@@ -61,7 +60,7 @@ class TestWarmExecution:
         aware = SweepPoint(label="a", scale=TINY, power=PowerAwareConfig(),
                            traffic_factory=baseline.traffic_factory, seed=4,
                            cycles=1_200)
-        cold = [run_point(aware), run_point(baseline)]
+        cold = [run_fresh(aware), run_fresh(baseline)]
         assert [run_point_warm(aware), run_point_warm(baseline)] == cold
         assert cache_info()["misses"] == 1
 
@@ -92,7 +91,7 @@ class TestWarmExecution:
             warm._acquire = original
         assert cache_info()["size"] == 0
         # And the next warm run rebuilds cold, correctly.
-        assert run_point_warm(good) == run_point(good)
+        assert run_point_warm(good) == run_fresh(good)
 
     def test_cache_is_bounded(self):
         for width in (2, 3):
@@ -181,24 +180,17 @@ class TestExecutorIntegration:
         from repro.experiments.executor import ExecutionPlan, execute_sweep
 
         points = [tiny_point(label=f"e{i}", seed=i + 1) for i in range(4)]
-        cold = execute_sweep(points, max_workers=1,
-                             plan=ExecutionPlan(warm=False))
+        cold = [run_fresh(p) for p in points]
         clear_cache()
-        hot = execute_sweep(points, max_workers=1,
-                            plan=ExecutionPlan(warm=True))
-        assert hot.results == cold.results
+        hot = execute_sweep(points, max_workers=1, plan=ExecutionPlan())
+        assert hot.results == cold
         assert cache_info()["hits"] == 3
-
-    def test_plan_defaults_to_warm(self):
-        from repro.experiments.executor import ExecutionPlan
-
-        assert ExecutionPlan().warm is True
 
 
 class TestAcquireFallback:
     def test_reset_failure_falls_back_to_cold_construction(self):
         point = tiny_point(label="f", seed=1)
-        expected = run_point(point)
+        expected = run_fresh(point)
         run_point_warm(point)
         # Corrupt the cached simulator so its next reset raises.
         (cached,) = warm._CACHE.values()
@@ -228,7 +220,7 @@ def test_warm_and_cold_agree_on_faulted_points():
                          faults=FaultConfig(seed=3, received_power_w=13e-6))
     clean = SweepPoint(label="c", scale=TINY, power=PowerAwareConfig(),
                        traffic_factory=factory, seed=1, cycles=900)
-    cold = [run_point(faulted), run_point(clean), run_point(faulted)]
+    cold = [run_fresh(faulted), run_fresh(clean), run_fresh(faulted)]
     assert [run_point_warm(faulted), run_point_warm(clean),
             run_point_warm(faulted)] == cold
 
@@ -250,26 +242,28 @@ def _short_sweep() -> list[SweepPoint]:
 
 def test_warm_sweep_beats_cold_by_the_floor():
     # Short points spend most of their time building the fabric, which
-    # warm workers reset in place instead (3.3-3.65x on a shared 2-CPU
-    # host).  Serial, so process_time covers all the work; best of two
-    # passes, the warm ones after an untimed pass that fills the cache.
-    from repro.experiments.executor import ExecutionPlan, execute_sweep
-
+    # warm workers reset in place instead.  Cold empties the cache before
+    # every point, so each one builds its simulator; warm keeps it, after
+    # an untimed pass that fills it.  Serial, so process_time covers all
+    # the work; best of two passes.
     points = _short_sweep()
 
-    def timed(plan):
+    def timed(cold):
         best = float("inf")
         for _ in range(2):
+            results = []
             start = time.process_time()
-            outcome = execute_sweep(points, max_workers=1, plan=plan)
+            for point in points:
+                if cold:
+                    clear_cache()
+                results.append(run_point_warm(point))
             best = min(best, time.process_time() - start)
-            assert outcome.complete
-        return best, outcome.results
+        return best, results
 
-    cold_s, cold = timed(ExecutionPlan(warm=False))
-    clear_cache()
-    execute_sweep(points, max_workers=1, plan=ExecutionPlan(warm=True))
-    warm_s, hot = timed(ExecutionPlan(warm=True))
+    cold_s, cold = timed(cold=True)
+    for point in points:
+        run_point_warm(point)
+    warm_s, hot = timed(cold=False)
     # repr, not ==: a NaN latency compares unequal to itself.
     assert [repr(r) for r in hot] == [repr(r) for r in cold]
     assert cold_s / warm_s >= 1.2, (cold_s, warm_s)

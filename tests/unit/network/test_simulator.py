@@ -213,12 +213,26 @@ class TestHooks:
         from repro.network.simulator import PHASES
 
         nodes = tiny_baseline_config.network.num_nodes
-        traffic = UniformRandomTraffic(nodes, 0.2, seed=2)
-        sim = Simulator(tiny_baseline_config, traffic)
+
+        def build():
+            return Simulator(tiny_baseline_config,
+                             UniformRandomTraffic(nodes, 0.2, seed=2))
+
+        sim = build()
         profiler = PhaseProfiler().attach(sim.hooks)
         sim.run(500)
         assert set(profiler.calls) == set(PHASES)
         assert all(count == 500 for count in profiler.calls.values())
+        # Stepping cycle by cycle times every phase as often as run(N).
+        stepped = build()
+        stepped_profiler = PhaseProfiler().attach(stepped.hooks)
+        for _ in range(500):
+            stepped.step()
+        assert stepped_profiler.calls == profiler.calls
+        # Profiling only observes: the run ends where an unprofiled one does.
+        plain = build()
+        plain.run(500)
+        assert sim.summary() == plain.summary() == stepped.summary()
         profiler.detach()
         sim.run(100)
         assert profiler.calls["route"] == 500  # detached: no more timing
@@ -279,6 +293,32 @@ class TestStallWatchdogLateAttach:
         # ("no flit delivered for 1000 cycles").
         sim.run(300)
         assert sim.stats.packets_delivered == 1
+
+
+class TestStallWatchdogKeepsEjectionRuns:
+    """The watchdog reads progress from the links' flit counters and
+    registers no ``delivery`` hook, so a watched run moves ejection body
+    flits as runs, exactly like an unwatched one."""
+
+    def test_watched_run_moves_runs_and_matches_unwatched(
+            self, tiny_sim_config):
+        from dataclasses import replace
+
+        nodes = tiny_sim_config.network.num_nodes
+
+        def run(stall_limit_cycles):
+            config = replace(tiny_sim_config,
+                             stall_limit_cycles=stall_limit_cycles)
+            sim = Simulator(config, UniformRandomTraffic(nodes, 0.3, seed=6))
+            sim.run(3000)
+            return sim
+
+        watched, plain = run(4000), run(0)
+        assert not watched.hooks.delivery
+        ejection = [link for link in watched.network.links
+                    if link.kind == EJECTION]
+        assert any(link.last_arrival > 0 for link in ejection)
+        assert watched.summary() == plain.summary()
 
 
 class TestDrainBatching:

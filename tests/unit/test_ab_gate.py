@@ -87,3 +87,58 @@ def test_run_simbench_reads_the_info_line(tmp_path, monkeypatch):
     assert got["info"]["digest"] == ["abc"]
     assert got["correct"] is True
 
+
+
+class FakeGit:
+    """Stands in for ``subprocess.run``: records every command and answers
+    ``git status`` with ``status``."""
+
+    def __init__(self, status: str = ""):
+        self.status = status
+        self.commands: list[list[str]] = []
+
+    def __call__(self, command, **kwargs):
+        self.commands.append(list(command))
+        stdout = self.status if command[:2] == ["git", "status"] else ""
+        return subprocess.CompletedProcess(command, 0, stdout, "")
+
+    def worktrees(self, verb: str) -> list[list[str]]:
+        return [c for c in self.commands if c[:3] == ["git", "worktree", verb]]
+
+
+def test_head_runs_from_a_worktree_beside_base(monkeypatch):
+    git = FakeGit()
+    checkouts = []
+
+    def fake_simbench(checkout, workload, seed):
+        checkouts.append(checkout)
+        return record(1.0)
+
+    monkeypatch.setattr(ab_gate.subprocess, "run", git)
+    monkeypatch.setattr(ab_gate, "run_simbench", fake_simbench)
+    assert ab_gate.main(["base-rev"]) == 0
+    added = git.worktrees("add")
+    assert [command[-1] for command in added] == ["base-rev", "HEAD"]
+    assert all("--detach" in command for command in added)
+    base_dir, head_dir = (Path(command[-2]) for command in added)
+    assert base_dir.parent == head_dir.parent
+    assert set(checkouts) == {base_dir, head_dir}
+    assert ab_gate.ROOT not in checkouts
+    assert len(checkouts) == 2 * len(ab_gate.SEEDS) * len(ab_gate.WORKLOADS)
+    removed = {Path(command[-1]) for command in git.worktrees("remove")}
+    assert removed == {base_dir, head_dir}
+
+
+def test_uncommitted_measured_changes_are_refused(monkeypatch, capsys):
+    git = FakeGit(status=" M src/repro/network/simulator.py\n")
+
+    def fake_simbench(checkout, workload, seed):  # pragma: no cover
+        raise AssertionError("no benchmark may run on a dirty tree")
+
+    monkeypatch.setattr(ab_gate.subprocess, "run", git)
+    monkeypatch.setattr(ab_gate, "run_simbench", fake_simbench)
+    assert ab_gate.main(["base-rev"]) == 2
+    assert "uncommitted changes" in capsys.readouterr().err
+    assert git.worktrees("add") == []
+    [status] = [c for c in git.commands if c[:2] == ["git", "status"]]
+    assert status[-2:] == list(ab_gate.MEASURED_PATHS)
