@@ -8,7 +8,8 @@ its output; this corpus is the oracle instead.  It has three parts:
 * **regimes** — longer runs, two loads each, of the regimes the grid
   does not reach: the non-power-aware baseline, transitions longer than
   the policy window, a modulator with three optical levels (laser
-  epochs fire) and ideal transitions;
+  epochs fire), ideal transitions and a phased hot spot of 48-flit
+  packets (contention at the hot node keeps interrupting long worms);
 * **faults** — drained fault scenarios (retransmission, a hard link
   failure, a degradation window that opens mid-run on a link with flits
   in flight), each also pinning the stream of
@@ -18,8 +19,8 @@ its output; this corpus is the oracle instead.  It has three parts:
 * **traces** — drained SPLASH-2-like trace replays (Fig. 7 / Table 3)
   with the paper's 48-flit mean packets, the long worms the grid's
   5-flit uniform packets barely form.  A trace cell runs cold (traced,
-  stepped) and warm (reset after the other benchmark, untraced, one
-  ``run`` call); both must give its pinned state digest.
+  stepped) and warm (reset after another benchmark, untraced,
+  512-cycle ``run`` chunks); both must give its pinned state digest.
 
 Each grid and regime cell runs twice.  The *cold* run is a fresh
 simulator with telemetry recording into a ring sink that holds every
@@ -56,6 +57,7 @@ from repro.network.simulator import Simulator
 from repro.reliability import FaultConfig, LinkDegradation, LinkFailure
 from repro.telemetry.config import TelemetryConfig
 from repro.telemetry.events import event_to_dict
+from repro.traffic.hotspot import HotspotTraffic, Phase
 from repro.traffic.uniform import UniformRandomTraffic
 from tests.integration.test_reliability import FiniteUniformSource
 
@@ -71,6 +73,10 @@ GRID_LOADS = (0.05, 0.25, 0.6)
 GRID_CYCLES = 1_500
 REGIME_LOADS = (0.1, 0.5)
 REGIME_CYCLES = 3_000
+#: Packets per cycle of the hot-spot regime's middle phase: 48-flit
+#: packets, so its loads sit far below the uniform regimes' 5-flit ones.
+HOTSPOT_LOADS = (0.04, 0.1)
+HOTSPOT_PACKET = 48
 
 #: Large enough that the ring sink never evicts an event.
 TRACE_CAPACITY = 1 << 20
@@ -82,7 +88,8 @@ class Cell:
 
     load: float
     cycles: int
-    #: ``smoke`` (grid), ``baseline``, ``slow``, ``modulator`` or ``ideal``.
+    #: ``smoke`` (grid), ``baseline``, ``slow``, ``modulator``, ``ideal``
+    #: or ``hotspot``.
     regime: str = "smoke"
     faults: bool = False
 
@@ -103,6 +110,8 @@ def _cells() -> dict[str, Cell]:
     for regime in ("baseline", "slow", "modulator", "ideal"):
         cells.extend(Cell(load, REGIME_CYCLES, regime=regime)
                      for load in REGIME_LOADS)
+    cells.extend(Cell(load, REGIME_CYCLES, regime="hotspot")
+                 for load in HOTSPOT_LOADS)
     return {cell.name: cell for cell in cells}
 
 
@@ -111,7 +120,8 @@ CELLS = _cells()
 
 def partner(cell: Cell) -> Cell:
     """The same regime at the next load: the warm run's point."""
-    loads = GRID_LOADS if cell.regime == "smoke" else REGIME_LOADS
+    loads = {"smoke": GRID_LOADS,
+             "hotspot": HOTSPOT_LOADS}.get(cell.regime, REGIME_LOADS)
     load = loads[(loads.index(cell.load) + 1) % len(loads)]
     return replace(cell, load=load)
 
@@ -151,8 +161,17 @@ def cell_config(cell: Cell, *, traced: bool) -> SimulationConfig:
     )
 
 
-def cell_traffic(cell: Cell) -> UniformRandomTraffic:
-    return UniformRandomTraffic(fabric().num_nodes, cell.load, seed=5)
+def cell_traffic(cell: Cell) -> UniformRandomTraffic | HotspotTraffic:
+    num_nodes = fabric().num_nodes
+    if cell.regime == "hotspot":
+        # Half load, full load, then a quarter: the policy sees the
+        # rate move both ways while the hot node's ejection link stays
+        # contended.
+        phases = (Phase(0, cell.load / 2), Phase(1_000, cell.load),
+                  Phase(2_000, cell.load / 4))
+        return HotspotTraffic(num_nodes, phases, hotspot_node=num_nodes - 3,
+                              packet_size=HOTSPOT_PACKET, seed=5)
+    return UniformRandomTraffic(num_nodes, cell.load, seed=5)
 
 
 def state_digest(sim: Simulator) -> str:
@@ -230,6 +249,11 @@ def check_regime(cell: Cell, sim: Simulator, spanning: int) -> None:
         assert spanning >= 2
     if cell.regime == "baseline":
         assert sim.power is None
+    if cell.regime == "hotspot":
+        ejection = sim.network.links_of_kind("ejection")
+        hot = ejection.pop(sim.traffic.hotspot_node)
+        assert hot.flits_carried > max(link.flits_carried
+                                       for link in ejection)
 
 
 # -- fault scenarios -----------------------------------------------------------
@@ -331,8 +355,8 @@ def check_fault_scenario(name: str, sim: Simulator) -> None:
 # -- trace replays -------------------------------------------------------------
 
 #: Benchmarks replayed by the trace cells, each warm run resetting a
-#: simulator that replayed the other.
-TRACE_BENCHMARKS = ("fft", "radix")
+#: simulator that replayed the previous one.
+TRACE_BENCHMARKS = ("fft", "lu", "radix")
 #: Cycles the synthesised trace spans, and the drained run's cycle budget.
 TRACE_SPAN = 6_000
 TRACE_MAX_CYCLES = 16_000
