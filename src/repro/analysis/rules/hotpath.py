@@ -39,6 +39,22 @@ HOT_FUNCTIONS: dict[str, frozenset[str]] = {
         "Simulator.step",
         "Simulator._phase_deliver",
     }),
+    # Worm streams: settled at the end of most busy cycles, written back
+    # before every wheel event, and consulted by the deliver phase and
+    # the node inject step; their bodies replace per-flit work.
+    "repro/network/stream.py": frozenset({
+        "WormStream.compute",
+        "WormStream._compute_runs",
+        "WormStream.write_back",
+        "WormStream._write_router",
+        "WormStreams.settle",
+        "WormStreams.contend",
+        "WormStreams.node_selects",
+        "WormStreams._try",
+        "_chain",
+        "_bounded",
+        "_contested",
+    }),
     "repro/network/router.py": frozenset({
         "Router.step",
         "Router._forward",

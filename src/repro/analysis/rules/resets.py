@@ -44,6 +44,12 @@ RESET_EXEMPT: dict[str, dict[str, frozenset[str]]] = {
         # alias instead of restoring it.
         "StatsCollector": frozenset({"packet_hooks"}),
     },
+    "repro/network/simulator.py": {
+        # Which link feeds each router port and who sends on each link:
+        # fabric wiring, which reset() requires to be unchanged.  The
+        # run's worm streams themselves are rebuilt by _init_run_state.
+        "Simulator": frozenset({"_stream_tables"}),
+    },
     "repro/network/router.py": {
         # Geometry and port wiring survive a warm reset by design: the
         # whole point of the cache is reusing the constructed fabric.

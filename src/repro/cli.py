@@ -288,6 +288,9 @@ def _command_run(args) -> int:
                 sim.telemetry.close()
         print("\nwall-time by phase:")
         print(profiler.report())
+        print("\nworm streams:")
+        for name, value in sim.stream_counters().items():
+            print(f"  {name:<22} {value}")
     else:
         result = run_simulation(scale, power, factory, label="cli",
                                 seed=args.seed, cycles=args.cycles,

@@ -68,6 +68,7 @@ class Link:
         "body_runs",
         "last_arrival",
         "delivery_hooks",
+        "worms",
     )
 
     def __init__(
@@ -140,6 +141,11 @@ class Link:
         self.body_runs = False
         self.last_arrival = 0.0
         self.delivery_hooks: list | tuple = ()
+        #: The simulator's list of worms whose head has just taken this
+        #: ejection link (:attr:`WormStreams.fresh
+        #: <repro.network.stream.WormStreams.fresh>`, aliased), or
+        #: ``None`` where no stream may form.
+        self.worms: list | None = None
 
     def reset(self) -> None:
         """Restore construction-time transport state for a warm rerun.
@@ -163,6 +169,7 @@ class Link:
         self.body_runs = False
         self.last_arrival = 0.0
         self.delivery_hooks = ()
+        self.worms = None
 
     @property
     def has_in_flight(self) -> bool:

@@ -78,16 +78,16 @@ class VirtualChannel:
 class InputPort:
     """An input port: ``num_vcs`` virtual channels plus upstream credits.
 
-    The port keeps two incrementally maintained work-list fields so the
+    The port keeps one incrementally maintained work-list field so the
     switch-allocation loop touches only VCs that can actually move:
     ``nonempty`` is a bitmask with bit ``v`` set while VC ``v`` buffers at
-    least one flit, and ``occupancy`` is the total buffered flit count
-    (formerly an O(num_vcs) sum recomputed per query).  Both are updated
-    only by :meth:`Router.receive_flit` and the forwarding loop of
-    :meth:`Router.step` — the only two places flits enter or leave a VC.
+    least one flit and the router steps it.  The flit-moving paths keep
+    it: :meth:`Router.receive_flit`, the deliver phase, the forwarding
+    loop of :meth:`Router.step` and the worm streams of
+    :mod:`repro.network.stream`, which clear a streamed VC's bit.
     """
 
-    __slots__ = ("vcs", "upstream_credits", "nonempty", "occupancy")
+    __slots__ = ("vcs", "upstream_credits", "nonempty")
 
     def __init__(self, num_vcs: int, vc_depth: int):
         self.vcs = [VirtualChannel(InputBuffer(vc_depth))
@@ -97,8 +97,11 @@ class InputPort:
         self.upstream_credits: list[CreditCounter] | None = None
         #: Bitmask of VCs with buffered flits (bit ``v`` <-> ``vcs[v]``).
         self.nonempty = 0
-        #: Total flits buffered across all VCs.
-        self.occupancy = 0
+
+    @property
+    def occupancy(self) -> int:
+        """Total flits buffered across all VCs (diagnostics only)."""
+        return sum(len(vc.buffer._fifo) for vc in self.vcs)
 
     def buffers(self) -> tuple[InputBuffer, ...]:
         return tuple(vc.buffer for vc in self.vcs)
@@ -134,7 +137,8 @@ class Router:
         "router_id", "x", "y", "num_local", "num_ports",
         "num_vcs", "inputs", "outputs", "head_delay", "topology",
         "_active_mask", "_requests", "_route_table",
-        "registry", "fault_stats", "_out_links",
+        "registry", "fault_stats", "_out_links", "stream_outs",
+        "_latched",
     )
 
     def __init__(self, router_id: int, num_local: int, buffer_depth: int,
@@ -198,6 +202,12 @@ class Router:
         #: Optional shared reliability counter object (assigned by the
         #: reliability manager); ``None`` keeps routing on the fast path.
         self.fault_stats = None
+        #: Bitmask of output ports that live worm streams hold or watch
+        #: here (:mod:`repro.network.stream`): a head delivered to this
+        #: router that routes to one of them cuts the stream.
+        self.stream_outs = 0
+        #: Per output port, how many VCs hold a latched route to it.
+        self._latched = [0] * self.num_ports
 
     def attach_output(self, port: int, output: OutputPort) -> None:
         """Wire an output port (done once by the topology builder)."""
@@ -226,7 +236,6 @@ class Router:
         buf._last_event = now
         fifo.append(flit)
         ip.nonempty |= 1 << flit.vc
-        ip.occupancy += 1
         self._active_mask |= 1 << port
 
     def build_route_table(self) -> None:
@@ -317,7 +326,6 @@ class Router:
                 for credit in port.upstream_credits:
                     credit.reset()
             port.nonempty = 0
-            port.occupancy = 0
         for output in self.outputs:
             if output is None:
                 continue
@@ -332,6 +340,10 @@ class Router:
         self._requests.clear()
         self.registry = None
         self.fault_stats = None
+        self.stream_outs = 0
+        latched = self._latched
+        for index in range(len(latched)):
+            latched[index] = 0
         if self._route_table is not None:
             # Cache hit by construction (the first build populated it);
             # this restores entries a failed link invalidated.
@@ -432,6 +444,7 @@ class Router:
                             f"routing chose unattached output {out_idx} "
                             f"at router {self.router_id}"
                         )
+                    self._latched[out_idx] += 1
                     vc.eligible_at = now + self.head_delay
                 # Demand pressure: one count per output link per cycle,
                 # however many VCs want it.
@@ -513,7 +526,6 @@ class Router:
         buf._occ_integral += len(fifo) * (now - buf._last_event)
         buf._last_event = now
         flit = fifo.popleft()
-        port.occupancy -= 1
         if not fifo:
             port.nonempty &= ~(1 << winner_vc)
             if not port.nonempty:
@@ -540,6 +552,7 @@ class Router:
         arrival = link.free_at + link.propagation_cycles
         if flit.is_tail:
             self.outputs[out_idx].vc_owner[vc.out_vc] = None
+            self._latched[out_idx] -= 1
             vc.release()
         else:
             vc.eligible_at = now + 1.0
@@ -547,6 +560,11 @@ class Router:
                 # An ejection body flit: its node sink ignores it, so it
                 # joins the link's run instead of being filed.
                 link.last_arrival = arrival
+                if flit.is_head and link.worms is not None:
+                    # The worm's path is latched end to end: offer it
+                    # to the simulator's streams.
+                    link.worms.append((self, winner_port, winner_vc,
+                                       out_idx, flit.packet))
                 return
         link._in_flight.append((arrival, flit))
         calendar = link.calendar

@@ -55,7 +55,7 @@ class Node:
     """
 
     __slots__ = ("node_id", "queue", "link", "credits", "stats", "_vc",
-                 "registry")
+                 "registry", "stream")
 
     def __init__(self, node_id: int, stats: StatsCollector):
         self.node_id = node_id
@@ -68,6 +68,10 @@ class Node:
         #: registers itself while its source queue holds flits, so the
         #: injection phase only visits nodes with work.
         self.registry = None
+        #: The live worm stream that owes this idle node's credit
+        #: counters refills (:mod:`repro.network.stream`): queueing a
+        #: packet here writes it back first.
+        self.stream = None
 
     def enqueue_packet(self, packet: Packet) -> None:
         """Queue a freshly generated packet's flits for injection."""
@@ -86,6 +90,9 @@ class Node:
             return
         flit = queue[0]
         if flit.is_head:
+            if self.stream is not None:
+                # A worm stream owes one of these counters refills.
+                self.stream.owner.node_selects(self, now)
             chosen, best = -1, 0
             for index, counter in enumerate(self.credits):
                 available = counter.available
@@ -128,6 +135,7 @@ class Node:
         self.queue.clear()
         self._vc = -1
         self.registry = None
+        self.stream = None
 
     @property
     def pending_flits(self) -> int:

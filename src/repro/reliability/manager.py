@@ -226,6 +226,7 @@ class ReliabilityManager:
                 if not vc.buffer.is_empty and vc.buffer.head().is_head:
                     if vc.out_vc >= 0:
                         op.vc_owner[vc.out_vc] = None
+                    router._latched[dead_port] -= 1
                     vc.release()
 
     def _owner_of(self, link: Link) -> tuple[Router, int]:

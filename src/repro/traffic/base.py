@@ -57,6 +57,15 @@ class TrafficSource(abc.ABC):
         """
         return False
 
+    def next_arrival(self, now: int) -> float:
+        """The first cycle after ``now`` at which :meth:`generate` may
+        return a packet, once it has run for ``now``.
+
+        Sources that draw random numbers every cycle answer ``now + 1``,
+        so the simulator visits every cycle and the draws stay in step.
+        """
+        return now + 1
+
 
 class PoissonSource(TrafficSource):
     """Shared machinery for open-loop sources with a Poisson packet count.

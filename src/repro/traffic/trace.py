@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -136,6 +137,11 @@ class TraceReplaySource(TrafficSource):
 
     def exhausted(self, now: int) -> bool:
         return self._cursor >= len(self.records)
+
+    def next_arrival(self, now: int) -> float:
+        records = self.records
+        cursor = self._cursor
+        return records[cursor].cycle if cursor < len(records) else inf
 
     @property
     def remaining(self) -> int:
