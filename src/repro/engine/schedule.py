@@ -25,11 +25,12 @@ and counted but neither queued nor filed, and the link keeps only the
 run's ``last_arrival`` (``Link.in_flight_at``).  A registered
 ``delivery`` hook turns filing back on for every flit.
 
-A plain dict-of-lists beats a heap because the simulator visits every
-integer cycle in order and pushes always land on *future* cycles
+A plain dict-of-lists beats a heap because the simulator visits the
+integer cycles in order and pushes always land on *future* cycles
 (service and propagation are positive, so ``ceil(arrival) > now`` for a
 push at integer ``now``): each bucket is built, popped once and never
-revisited.
+revisited.  The run loop skips only cycles with no bucket, and moves the
+cursor past them with :meth:`DeliverySchedule.skip_to`.
 
 Fault-injected links share the calendar.  A corrupted flit's
 retransmission moves its arrival later; ``LinkFaultState._schedule_retry``
@@ -91,6 +92,11 @@ class DeliverySchedule:
         if len(due) > 1:
             due.sort()
         return due
+
+    def skip_to(self, cycle: int) -> None:
+        """Make ``cycle`` the next cycle to pop, passing over cycles the
+        caller knows have no bucket."""
+        self._cursor = cycle
 
     def _catch_up(self, now: int) -> list[int]:
         """Pop every bucket from the cursor through ``now`` (cold path)."""

@@ -42,7 +42,7 @@ NEVER = math.inf
 class EventWheel:
     """Deterministic integer-cycle event scheduler."""
 
-    __slots__ = ("_buckets", "_seq", "next_cycle")
+    __slots__ = ("_buckets", "_seq", "next_cycle", "_outside")
 
     def __init__(self) -> None:
         #: cycle -> list of (priority, insertion seq, callback).
@@ -51,6 +51,8 @@ class EventWheel:
         #: Earliest scheduled cycle (``NEVER`` when empty).  Hot loops read
         #: this directly: ``if wheel.next_cycle <= now: wheel.service(now)``.
         self.next_cycle: float = NEVER
+        #: :meth:`next_event_outside` memo: ``(key, cycle)``.
+        self._outside: tuple = (None, NEVER)
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
@@ -75,6 +77,27 @@ class EventWheel:
             bucket.append(entry)
         if cycle < self.next_cycle:
             self.next_cycle = cycle
+
+    def next_event_outside(self, priorities: tuple[int, ...]) -> float:
+        """The earliest cycle holding an event whose priority is not in
+        ``priorities`` (``NEVER`` when there is none).
+
+        Remembered until the next :meth:`schedule` or :meth:`service`
+        changes the wheel.
+        """
+        key = (self._seq, self.next_cycle, priorities)
+        memo_key, cycle = self._outside
+        if memo_key == key:
+            return cycle
+        cycle = NEVER
+        for when, bucket in self._buckets.items():
+            if when < cycle:
+                for entry in bucket:
+                    if entry[0] not in priorities:
+                        cycle = when
+                        break
+        self._outside = (key, cycle)
+        return cycle
 
     def service(self, now: int) -> int:
         """Run every event due at or before cycle ``now``; return the count.

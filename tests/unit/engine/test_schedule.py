@@ -117,6 +117,16 @@ class TestCursor:
         assert schedule.pop_due(1) == []  # behind the cursor: a no-op
         assert schedule.pop_due(2) == []
 
+    def test_skip_to_passes_over_empty_cycles(self):
+        schedule = DeliverySchedule()
+        schedule.buckets[9].append(4)
+        schedule.skip_to(9)
+        assert schedule.pop_due(9) == [4]
+        # An entry filed behind the skipped-to cycle is stranded.
+        schedule.buckets[5].append(1)
+        with pytest.raises(SimulationError):
+            schedule.pending()
+
 
 class TestDeliveryContract:
     def test_each_flit_delivered_once_at_ceil(self):

@@ -114,3 +114,28 @@ class TestRescheduling:
         wheel.service(4)
         assert fired == ["first", "second"]
         assert wheel.next_cycle == NEVER
+
+
+class TestNextEventOutside:
+    def test_skips_cycles_holding_only_the_given_priorities(self):
+        wheel = EventWheel()
+        wheel.schedule(3, lambda n: None, PRI_SAMPLE)
+        wheel.schedule(5, lambda n: None, PRI_TRANSITION)
+        wheel.schedule(8, lambda n: None, PRI_WINDOW)
+        wheel.schedule(8, lambda n: None, PRI_SAMPLE)
+        quiet = (PRI_TRANSITION, PRI_SAMPLE)
+        assert wheel.next_event_outside(quiet) == 8
+        assert wheel.next_event_outside(()) == 3
+
+    def test_follows_schedule_and_service(self):
+        wheel = EventWheel()
+        quiet = (PRI_SAMPLE,)
+        assert wheel.next_event_outside(quiet) == NEVER
+        wheel.schedule(6, lambda n: None, PRI_EPOCH)
+        assert wheel.next_event_outside(quiet) == 6
+        wheel.schedule(4, lambda n: None, PRI_WINDOW)
+        assert wheel.next_event_outside(quiet) == 4
+        wheel.service(4)
+        assert wheel.next_event_outside(quiet) == 6
+        wheel.service(6)
+        assert wheel.next_event_outside(quiet) == NEVER
