@@ -102,7 +102,7 @@ class PoolSubmissionRule(Rule):
     description = ("a lambda or nested function is submitted to an "
                    "executor (it cannot cross the pickle boundary)")
     hint = ("submit a module-level function; thread per-call state "
-            "through its arguments (see executor._guarded_attempt)")
+            "through its arguments (see executor._run_point)")
 
     def scope(self, rel: str) -> bool:
         return _scoped(rel)

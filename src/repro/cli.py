@@ -135,23 +135,12 @@ def _add_sweep_parser(subparsers) -> None:
     parser.add_argument("--resume", action="store_true",
                         help="require --journal to already exist and load "
                              "its completed points instead of re-running")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-point wall-clock budget per attempt "
-                             "(default: unbounded)")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="extra attempts per failed/timed-out/crashed "
-                             "point, with exponential backoff (default: 0)")
-    parser.add_argument("--backoff", type=float, default=0.5,
-                        metavar="SECONDS",
-                        help="base retry backoff; attempt n waits "
-                             "base * 2^(n-1) seconds (default: 0.5)")
     parser.add_argument("--strict", action="store_true",
-                        help="fail fast on the first exhausted point "
+                        help="fail fast on the first failed point "
                              "instead of reporting partial results")
     parser.add_argument("--exec-trace", default=None, metavar="OUT.JSONL",
                         help="record executor lifecycle events (point "
-                             "done/cached/failed, retries, crashes) to a "
+                             "done/cached/failed, crashes) to a "
                              "JSONL trace file")
 
 
@@ -403,16 +392,14 @@ def _command_trace(args) -> int:
 
 def _execution_plan(args):
     """The :class:`ExecutionPlan` the sweep flags describe, or ``None``
-    when no resilience flag was given (the historical fail-fast path)."""
-    if (args.journal is None and not args.resume and args.timeout is None
-            and args.retries == 0 and not args.strict
+    when no execution flag was given (the historical fail-fast path)."""
+    if (args.journal is None and not args.resume and not args.strict
             and args.exec_trace is None):
         return None
     from repro.experiments.executor import ExecutionPlan
 
     return ExecutionPlan(
-        journal=args.journal, resume=args.resume, timeout=args.timeout,
-        retries=args.retries, backoff=args.backoff, strict=args.strict,
+        journal=args.journal, resume=args.resume, strict=args.strict,
         trace_path=args.exec_trace,
     )
 
@@ -429,8 +416,7 @@ def _print_journal_report(journal_path) -> None:
     print(f"\njournal {journal_path}: {done} point(s) done, "
           f"{failed} failed")
     for failure in failures:
-        print(f"  FAILED {failure['label']}: {failure['attempts']} "
-              f"attempt(s) in {failure['elapsed']:.1f}s — "
+        print(f"  FAILED {failure['label']} in {failure['elapsed']:.1f}s — "
               f"{failure['error']}")
 
 

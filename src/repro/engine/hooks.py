@@ -57,7 +57,7 @@ callbacks see every decision.  Results are identical either way; only
 control cost changes (see
 :meth:`~repro.core.manager.NetworkPowerManager._run_window`).
 
-The three ``exec_*`` events are fired by the sweep executor
+The two ``exec_*`` events are fired by the sweep executor
 (:mod:`repro.experiments.executor`), not by the simulator: a registry
 also fronts the execution harness so sweep-lifecycle observers (the
 executor trace recorder, tests) attach exactly like run observers do.
@@ -66,15 +66,13 @@ executor trace recorder, tests) attach exactly like run observers do.
     ``cb(label, key, status, attempt, elapsed)`` when a sweep point
     reaches a terminal state: ``status`` is ``"done"`` (executed),
     ``"cached"`` (served from the journal, ``attempt`` 0) or
-    ``"failed"`` (retries exhausted).  ``elapsed`` is wall seconds
-    across every attempt.
-``exec_retry``
-    ``cb(label, key, attempt, cause, delay)`` when a failed attempt is
-    scheduled for retry after ``delay`` seconds of backoff; ``cause``
-    is ``"error"``, ``"timeout"`` or ``"crash"``.
+    ``"failed"`` (its one attempt failed).  ``elapsed`` is the wall
+    seconds of that attempt.
 ``exec_crash``
     ``cb(label, key, attempt, cause)`` when a worker-process death is
-    detected under a point (pool breakage, or a hard-timeout kill).
+    detected under a point (``cause`` is ``"crash"``): once for every
+    point in flight when a pool breaks, and once more for the point
+    whose solo re-run breaks its pool too.
 """
 
 from __future__ import annotations
@@ -86,8 +84,7 @@ from repro.errors import ConfigError
 #: The hook points a :class:`HookRegistry` exposes.
 EVENTS = ("phase_start", "phase_end", "window", "transition", "policy",
           "power_sample", "delivery", "packet_delivered", "fault",
-          "retransmit", "link_failure", "exec_point", "exec_retry",
-          "exec_crash")
+          "retransmit", "link_failure", "exec_point", "exec_crash")
 
 #: A hook callback.  Signatures are per-event (see the module docstring);
 #: return values are ignored.
@@ -114,7 +111,6 @@ class HookRegistry:
     retransmit: list[Hook]
     link_failure: list[Hook]
     exec_point: list[Hook]
-    exec_retry: list[Hook]
     exec_crash: list[Hook]
 
     def __init__(self) -> None:

@@ -39,18 +39,9 @@ class LinkStateError(ReproError, RuntimeError):
 class ExecutionError(ReproError, RuntimeError):
     """A failure of the sweep-execution harness (not of a simulation).
 
-    Raised for harness-level conditions: a point exceeding its wall-clock
-    budget, a worker process dying, or a sweep aborting in strict mode.
-    Simulation-internal inconsistencies stay :class:`SimulationError`.
-    """
-
-
-class PointTimeoutError(ExecutionError):
-    """A sweep point exceeded its per-attempt wall-clock timeout.
-
-    Raised *inside* the worker by the executor's alarm guard, so it
-    pickles across the process boundary like any ordinary exception and
-    the supervisor can tell a timeout from a crash or a simulation bug.
+    Raised for harness-level conditions: a worker process dying, or a
+    sweep aborting in strict mode.  Simulation-internal inconsistencies
+    stay :class:`SimulationError`.
     """
 
 
@@ -59,7 +50,7 @@ class SweepExecutionError(ExecutionError):
 
     Carries the structured :class:`~repro.experiments.executor.
     SweepFailureReport` built up to the abort, so callers still see
-    per-point attempts, causes and exception text.
+    per-point causes and exception text.
     """
 
     def __init__(self, message: str, report: object | None = None) -> None:

@@ -12,8 +12,8 @@
 
 Shared machinery: :mod:`~repro.experiments.configs` (scales, reference
 rates), :mod:`~repro.experiments.runner` (run + normalise) and
-:mod:`~repro.experiments.executor` (fault-tolerant sweep execution:
-journaled resume, per-point timeouts/retries, worker-crash recovery —
+:mod:`~repro.experiments.executor` (sweep execution, one attempt per
+point: journaled resume, worker-crash isolation, degraded reports —
 see docs/execution.md).
 """
 

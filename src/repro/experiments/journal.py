@@ -29,9 +29,10 @@ cannot trust across processes.
 
 Two tables: ``points`` is the materialised view (one row per key, upserted
 on completion), ``attempts`` is the append-only audit log (one row per
-execution attempt, including the failed ones).  Writes commit
-immediately — a SIGKILL between points loses nothing, a SIGKILL *during*
-a write loses at most that write to SQLite's rollback journal.  A
+execution attempt, including failed ones and the ones a point lost to a
+sibling's worker crash).  Writes commit immediately — a SIGKILL between
+points loses nothing, a SIGKILL *during* a write loses at most that
+write to SQLite's rollback journal.  A
 finished point's last attempt row and its ``points`` row commit in one
 transaction, so a crash leaves both or neither, and the point re-runs.
 """
@@ -127,9 +128,9 @@ def point_key(point: "SweepPoint") -> str:
     ROADMAP item.
 
     The hash is cached on the point after the first call (the executor
-    and the journal both key by it, per attempt and per retry).  A
-    ``SweepPoint`` is a frozen dataclass without slots, so the cache
-    slips into ``__dict__`` via ``object.__setattr__`` — invisible to
+    and the journal both key by it).  A ``SweepPoint`` is a frozen
+    dataclass without slots, so the cache slips into ``__dict__`` via
+    ``object.__setattr__`` — invisible to
     ``dataclasses.fields()`` and therefore to the hash payload and to
     dataclass equality.  The hash is pure content, so a cached value
     travelling to a worker via pickle equals what the worker would
@@ -171,7 +172,7 @@ class SweepJournal:
     def get(self, key: str) -> "RunResult | None":
         """The completed result stored under ``key``, if any.
 
-        Failed entries return ``None`` — a resumed sweep retries them
+        Failed entries return ``None`` — a resumed sweep re-runs them
         from scratch rather than trusting a stale failure.
         """
         row = self._conn.execute(
@@ -246,8 +247,8 @@ class SweepJournal:
     def record_failed(self, key: str, label: str, attempts: int,
                       error: str, elapsed: float, *, cause: str,
                       attempt_elapsed: float) -> None:
-        """Commit a point whose retry budget ran out, with the audit row
-        of its final (``failed``) attempt and that attempt's ``cause``."""
+        """Commit a point whose attempt failed, with the audit row of
+        that (``failed``) attempt and its ``cause``."""
         self._record_point(key, label, "failed", attempts, elapsed, None,
                            error, cause, attempt_elapsed)
 

@@ -205,15 +205,16 @@ def run_sweep(points: Iterable[SweepPoint], *,
     whatever ``max_workers`` is — parallelism is purely a wall-clock
     optimisation.
 
-    All execution goes through :mod:`repro.experiments.executor` futures,
-    so one worker's crash or exception never discards sibling results.
-    Without an ``execution`` plan, behaviour is the historical fail-fast:
-    no journal, no retries, and the first failing point's exception is
-    re-raised (a :class:`~repro.errors.ConfigError` is re-raised with the
-    offending point's label prepended).  Pass an
-    :class:`~repro.experiments.executor.ExecutionPlan` for journaling,
-    timeouts, retries, or degraded completion — under a degraded
-    (non-strict) plan, failed points come back as ``None`` entries.
+    All execution goes through :mod:`repro.experiments.executor`, which
+    gives every point one attempt, so one worker's crash or exception
+    never discards sibling results.  Without an ``execution`` plan,
+    behaviour is the historical fail-fast: no journal, and the first
+    failing point's exception is re-raised (a
+    :class:`~repro.errors.ConfigError` is re-raised with the offending
+    point's label prepended).  Pass an
+    :class:`~repro.experiments.executor.ExecutionPlan` for journaling or
+    degraded completion — under a degraded (non-strict) plan, failed
+    points come back as ``None`` entries.
     """
     from repro.experiments.executor import ExecutionPlan, execute_sweep
 

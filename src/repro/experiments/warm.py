@@ -33,7 +33,6 @@ simulator (a half-run fabric is never reused).
 from __future__ import annotations
 
 from repro.config import NetworkConfig, SimulationConfig
-from repro.experiments import chaos
 from repro.experiments.runner import SweepPoint, collect_result
 from repro.metrics.summary import RunResult
 from repro.network.simulator import Simulator
@@ -96,18 +95,15 @@ def _acquire(config: SimulationConfig, traffic: TrafficSource) -> Simulator:
     return sim
 
 
-def run_point_warm(point: SweepPoint, attempt: int = 1) -> RunResult:
+def run_point_warm(point: SweepPoint) -> RunResult:
     """Execute one sweep point on a warm (cached) simulator.
 
     The sweep executor's one point runner: module-level so process pools
     can map it.  With an empty cache it builds cold; either way the
     result is bit-identical to
     :func:`~repro.experiments.runner.run_simulation` on a fresh
-    simulator.  ``attempt`` is threaded in by the resilient executor so
-    the chaos harness can sabotage specific attempts; direct callers can
-    ignore it.
+    simulator.
     """
-    chaos.maybe_inject(point.label, attempt)
     scale = point.scale
     config = SimulationConfig(
         network=scale.network,
@@ -128,7 +124,6 @@ def run_point_warm(point: SweepPoint, attempt: int = 1) -> RunResult:
         return collect_result(sim, point.label)
     except BaseException:
         # The simulator may be mid-run; never hand a dirty fabric to the
-        # next point.  (Timeouts, chaos kills and genuine failures all
-        # land here — the respawned or retrying worker rebuilds cold.)
+        # next point.
         _CACHE.pop(config.network, None)
         raise

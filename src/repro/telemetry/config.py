@@ -35,8 +35,6 @@ KIND_RETRANSMIT = "retransmit"
 KIND_LINK_FAILURE = "link_failure"
 #: Sweep points reaching a terminal state (executor traces only).
 KIND_EXEC_POINT = "exec_point"
-#: Failed sweep attempts scheduled for retry (executor traces only).
-KIND_EXEC_RETRY = "exec_retry"
 #: Worker-process deaths detected under a point (executor traces only).
 KIND_EXEC_CRASH = "exec_crash"
 
@@ -51,7 +49,7 @@ ALL_KINDS = (
 )
 
 #: The sweep-executor lifecycle kinds (see docs/execution.md).
-EXECUTOR_KINDS = (KIND_EXEC_POINT, KIND_EXEC_RETRY, KIND_EXEC_CRASH)
+EXECUTOR_KINDS = (KIND_EXEC_POINT, KIND_EXEC_CRASH)
 
 
 @dataclass(frozen=True)

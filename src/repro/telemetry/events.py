@@ -16,7 +16,6 @@ from repro.errors import ConfigError
 from repro.telemetry.config import (
     KIND_EXEC_CRASH,
     KIND_EXEC_POINT,
-    KIND_EXEC_RETRY,
     KIND_FAULT,
     KIND_LINK_FAILURE,
     KIND_PACKET,
@@ -138,7 +137,7 @@ class ExecPointEvent:
     Executor events are stamped with a monotonically increasing ``seq``
     instead of a simulator cycle: the executor sits *outside* any run,
     and wall-clock timestamps would break trace determinism.  ``elapsed``
-    (wall seconds across every attempt) is the only wall quantity, and it
+    (wall seconds of the point's attempt) is the only wall quantity, and it
     is data, not ordering.
     """
 
@@ -151,21 +150,6 @@ class ExecPointEvent:
     status: str
     attempt: int
     elapsed: float
-
-
-@dataclass(frozen=True, slots=True)
-class ExecRetryEvent:
-    """A failed sweep attempt scheduled for retry after backoff."""
-
-    kind: ClassVar[str] = KIND_EXEC_RETRY
-
-    seq: int
-    label: str
-    key: str
-    attempt: int
-    #: ``error``, ``timeout`` or ``crash``.
-    cause: str
-    delay: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,7 +170,7 @@ EVENT_TYPES = {
     cls.kind: cls
     for cls in (TransitionEvent, PolicyEvent, PowerEvent, PacketEvent,
                 FaultEvent, RetransmitEvent, LinkFailureEvent,
-                ExecPointEvent, ExecRetryEvent, ExecCrashEvent)
+                ExecPointEvent, ExecCrashEvent)
 }
 
 

@@ -28,7 +28,6 @@ from repro.errors import ConfigError
 from repro.telemetry.config import (
     KIND_EXEC_CRASH,
     KIND_EXEC_POINT,
-    KIND_EXEC_RETRY,
     KIND_FAULT,
     KIND_LINK_FAILURE,
     KIND_PACKET,
@@ -53,7 +52,6 @@ CSV_COLUMNS = {
     KIND_LINK_FAILURE: ("cycle", "link_id"),
     KIND_EXEC_POINT: ("seq", "label", "key", "status", "attempt",
                       "elapsed"),
-    KIND_EXEC_RETRY: ("seq", "label", "key", "attempt", "cause", "delay"),
     KIND_EXEC_CRASH: ("seq", "label", "key", "attempt", "cause"),
 }
 
@@ -228,7 +226,7 @@ def to_chrome_trace(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
                 "args": {k: v for k, v in record.items()
                          if k not in ("kind", "cycle")},
             })
-        elif kind in (KIND_EXEC_POINT, KIND_EXEC_RETRY, KIND_EXEC_CRASH):
+        elif kind in (KIND_EXEC_POINT, KIND_EXEC_CRASH):
             # Executor events carry no cycle; order by their sequence
             # number so the timeline reads as sweep progress.
             name = kind

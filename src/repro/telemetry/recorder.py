@@ -26,7 +26,6 @@ from repro.errors import ConfigError
 from repro.telemetry.config import (
     KIND_EXEC_CRASH,
     KIND_EXEC_POINT,
-    KIND_EXEC_RETRY,
     KIND_FAULT,
     KIND_LINK_FAILURE,
     KIND_PACKET,
@@ -40,7 +39,6 @@ from repro.telemetry.events import (
     DECISION_NAMES,
     ExecCrashEvent,
     ExecPointEvent,
-    ExecRetryEvent,
     FaultEvent,
     LinkFailureEvent,
     PacketEvent,
@@ -240,7 +238,7 @@ class ExecutorRecorder:
     executor's :class:`~repro.engine.hooks.HookRegistry` (the same
     registry type the simulator fronts), turns the ``exec_*`` hook
     firings into :class:`~repro.telemetry.events.ExecPointEvent` /
-    ``ExecRetryEvent`` / ``ExecCrashEvent`` records, and streams them to
+    ``ExecCrashEvent`` records, and streams them to
     a JSONL sink.  Events carry a monotonically increasing ``seq``
     rather than a cycle — there is no simulator clock out here.
     """
@@ -267,7 +265,6 @@ class ExecutorRecorder:
         self._hooks = hooks
         wiring = (
             (KIND_EXEC_POINT, "exec_point", self._on_exec_point),
-            (KIND_EXEC_RETRY, "exec_retry", self._on_exec_retry),
             (KIND_EXEC_CRASH, "exec_crash", self._on_exec_crash),
         )
         for _kind, event, callback in wiring:
@@ -310,12 +307,6 @@ class ExecutorRecorder:
         self._emit(ExecPointEvent(seq=self._next_seq(), label=label,
                                   key=key, status=status, attempt=attempt,
                                   elapsed=elapsed))
-
-    def _on_exec_retry(self, label: str, key: str, attempt: int,
-                       cause: str, delay: float) -> None:
-        self._emit(ExecRetryEvent(seq=self._next_seq(), label=label,
-                                  key=key, attempt=attempt, cause=cause,
-                                  delay=delay))
 
     def _on_exec_crash(self, label: str, key: str, attempt: int,
                        cause: str) -> None:

@@ -1,9 +1,10 @@
-"""Chaos-driven integration tests for the resilient sweep executor.
+"""Fault-injection integration tests for the sweep executor.
 
-Each test injects a real failure mode — a SIGKILL'd worker, a wedged
-point, a supervisor killed mid-sweep — and asserts the executor's core
-promise: recovery never changes results.  Every recovered sweep is
-compared bit-for-bit against an undisturbed serial baseline.
+Each test injects a real failure mode — a SIGKILL'd worker, a point that
+raises, a supervisor killed mid-sweep — and asserts the executor's core
+promise: a failure costs only its own point, and recovery never changes
+results.  Every sweep is compared bit-for-bit against an undisturbed
+serial baseline.
 """
 
 import os
@@ -14,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import SweepExecutionError
 from repro.experiments.executor import ExecutionPlan, execute_sweep
 from repro.experiments.journal import SweepJournal
 
+from tests.chaos import inject
 from tests.sweeputil import tiny_point
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -29,81 +32,75 @@ def sweep_points():
 @pytest.fixture(scope="module")
 def baseline():
     """The undisturbed serial ground truth every recovery must match."""
-    assert "REPRO_CHAOS" not in os.environ
     return execute_sweep(sweep_points()).results
 
 
 class TestWorkerCrashRecovery:
-    def test_sigkilled_worker_is_respawned_and_point_retried(
-            self, baseline, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "crash:p1")
-        outcome = execute_sweep(
-            sweep_points(), max_workers=2,
-            plan=ExecutionPlan(retries=2, backoff=0.05))
-        assert outcome.complete
-        assert outcome.stats.crashes >= 1
-        assert outcome.results == baseline
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_crash_costs_only_the_crashing_point(self, baseline, workers):
+        # The crash breaks the pool under every point in flight; each is
+        # re-run alone, and only p0, whose solo run crashes again, fails.
+        with inject("crash", "p0"):
+            outcome = execute_sweep(sweep_points(), max_workers=workers,
+                                    plan=ExecutionPlan())
+        assert outcome.results[0] is None
+        assert outcome.results[1:] == baseline[1:]
+        [failure] = outcome.report.failures
+        assert (failure.label, failure.cause) == ("p0", "crash")
+        assert outcome.stats.failed == 1
+        assert outcome.stats.crashes == 2
 
-    def test_crash_also_costs_innocent_inflight_siblings_nothing(
-            self, baseline, monkeypatch):
-        # A broken pool dooms every in-flight future; siblings consume a
-        # crash attempt but their eventual results are untouched.
-        monkeypatch.setenv("REPRO_CHAOS", "crash:p0")
-        outcome = execute_sweep(
-            sweep_points(), max_workers=4,
-            plan=ExecutionPlan(retries=3, backoff=0.05))
-        assert outcome.complete
-        assert outcome.results == baseline
+    def test_journal_logs_the_attempts_a_crash_cost(self, tmp_path):
+        journal = tmp_path / "sweep.sqlite"
+        with inject("crash", "p0"):
+            execute_sweep(sweep_points(), max_workers=2,
+                          plan=ExecutionPlan(journal=journal))
+        with SweepJournal(journal) as j:
+            log = [(e["label"], e["outcome"], e["cause"])
+                   for e in j.attempt_log()]
+        # p0 lost its first run to its own crash, then failed alone;
+        # whatever else was in flight lost a run and finished alone.
+        assert ("p0", "lost", "crash") in log
+        assert {cause for _, outcome, cause in log if outcome == "lost"} \
+            == {"crash"}
+        final = {label: (outcome, cause) for label, outcome, cause in log
+                 if outcome != "lost"}
+        assert final == {"p0": ("failed", "crash"), "p1": ("done", None),
+                         "p2": ("done", None), "p3": ("done", None)}
 
-
-class TestTimeouts:
-    def test_soft_timeout_interrupts_a_hung_point(self, baseline,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "hang:p3")
-        outcome = execute_sweep(
-            sweep_points(), max_workers=2,
-            plan=ExecutionPlan(timeout=1.0, retries=1, backoff=0.05))
-        assert outcome.complete
-        assert outcome.stats.timeouts == 1
-        assert outcome.results == baseline
-
-    def test_hard_deadline_kills_an_alarm_proof_worker(self, baseline,
-                                                       monkeypatch):
-        # hang_hard blocks SIGALRM, so only the supervisor's pool kill
-        # can recover; the innocent sibling survives resubmission.
-        monkeypatch.setenv("REPRO_CHAOS", "hang_hard:p0")
-        outcome = execute_sweep(
-            sweep_points(), max_workers=2,
-            plan=ExecutionPlan(timeout=0.5, grace=1.0, retries=1,
-                               backoff=0.05))
-        assert outcome.complete
-        assert outcome.stats.timeouts >= 1
-        assert outcome.results == baseline
+    def test_strict_crash_raises_with_the_report(self):
+        with inject("crash", "p1"), \
+                pytest.raises(SweepExecutionError,
+                              match="'p1' killed its worker") as raised:
+            execute_sweep(sweep_points(), max_workers=2,
+                          plan=ExecutionPlan(strict=True))
+        [failure] = raised.value.report.failures
+        assert (failure.label, failure.cause) == ("p1", "crash")
 
 
 class TestGracefulDegradation:
     def test_exhausted_point_never_discards_finished_siblings(
-            self, baseline, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "oom*9:p0")
-        outcome = execute_sweep(
-            sweep_points(), max_workers=2,
-            plan=ExecutionPlan(retries=1, backoff=0.05))
+            self, baseline):
+        with inject("oom", "p0"):
+            outcome = execute_sweep(sweep_points(), max_workers=2)
         assert not outcome.complete
         assert outcome.results[0] is None
         assert outcome.results[1:] == baseline[1:]
         [failure] = outcome.report.failures
-        assert failure.label == "p0"
-        assert failure.attempts == 2
+        assert (failure.label, failure.cause) == ("p0", "error")
         assert "MemoryError" in failure.error
+        assert outcome.stats.crashes == 0
 
 
 _CHILD_SCRIPT = """
 import sys
 from repro.experiments.executor import ExecutionPlan, execute_sweep
+from tests.chaos import inject
 from tests.sweeputil import tiny_point
 
 points = [tiny_point(label=f"p{i}", seed=i + 1) for i in range(4)]
-execute_sweep(points, plan=ExecutionPlan(journal=sys.argv[1]))
+with inject("crash", "p2"):
+    execute_sweep(points, plan=ExecutionPlan(journal=sys.argv[1]))
 """
 
 
@@ -114,13 +111,11 @@ class TestJournalResume:
         point p2, then resume from the journal and match the
         uninterrupted serial baseline exactly."""
         journal = tmp_path / "sweep.sqlite"
-        env = dict(os.environ,
-                   PYTHONPATH=f"src{os.pathsep}.",
-                   REPRO_CHAOS="crash:p2")
+        env = dict(os.environ, PYTHONPATH=f"src{os.pathsep}.")
         child = subprocess.run(
             [sys.executable, "-c", _CHILD_SCRIPT, str(journal)],
             cwd=REPO_ROOT, env=env, capture_output=True, timeout=120)
-        # chaos 'crash' SIGKILLs the (serial) executing process itself.
+        # The injected crash SIGKILLs the (serial) executing process itself.
         assert child.returncode == -signal.SIGKILL, child.stderr.decode()
         with SweepJournal(journal) as j:
             assert j.counts() == {"done": 2}  # p0, p1 committed pre-kill

@@ -1,20 +1,22 @@
 """Property test: an interrupted, resumed sweep equals an unbroken one.
 
 The resilience claim, stated as a property: for *any* interruption point
-and either mesh shape (2x2, or the 1-high 4x1), SIGKILL-ing a worker mid-sweep and resuming from
-the journal produces results bit-identical to an uninterrupted serial
-sweep.  The worker kill is real (chaos ``crash`` → ``SIGKILL`` →
-``BrokenProcessPool``), not simulated.
+and either mesh shape (2x2, or the 1-high 4x1), SIGKILL-ing a worker
+mid-sweep costs only the point that killed it, and resuming from the
+journal re-runs exactly that point and produces results bit-identical
+to an uninterrupted serial sweep.  The worker kill is real (an injected
+``crash`` → ``SIGKILL`` → ``BrokenProcessPool``), not simulated.
 """
 
-import os
 from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.executor import ExecutionPlan, execute_sweep
+from repro.experiments.journal import SweepJournal
 
+from tests.chaos import inject
 from tests.sweeputil import TINY, tiny_point
 
 N_POINTS = 4
@@ -47,21 +49,20 @@ def test_killed_then_resumed_sweep_is_bit_identical(kill_index, shape,
     journal = tmp_path_factory.mktemp("journal") / "sweep.sqlite"
     points = points_for(shape)
 
-    # Pass 1: the point at kill_index SIGKILLs its worker on every
-    # attempt; with retries=0 it fails, siblings land in the journal.
-    os.environ["REPRO_CHAOS"] = f"crash*9:{shape}/p{kill_index}"
-    try:
-        interrupted = execute_sweep(
-            points, max_workers=2,
-            plan=ExecutionPlan(journal=journal, backoff=0.05))
-    finally:
-        del os.environ["REPRO_CHAOS"]
+    # Pass 1: the point at kill_index SIGKILLs its worker on every run;
+    # it alone fails, and every sibling lands in the journal.
+    with inject("crash", f"{shape}/p{kill_index}"):
+        interrupted = execute_sweep(points, max_workers=2,
+                                    plan=ExecutionPlan(journal=journal))
     assert interrupted.results[kill_index] is None
     assert interrupted.stats.crashes >= 1
+    with SweepJournal(journal) as j:
+        assert j.counts() == {"done": N_POINTS - 1, "failed": 1}
 
-    # Pass 2: resume with chaos off; only the killed point re-runs.
+    # Pass 2: resume with the fault gone; only the killed point re-runs.
     resumed = execute_sweep(
         points, plan=ExecutionPlan(journal=journal, resume=True))
     assert resumed.complete
-    assert resumed.stats.executed >= 1
+    assert resumed.stats.executed == 1
+    assert resumed.stats.cached == N_POINTS - 1
     assert resumed.results == expected

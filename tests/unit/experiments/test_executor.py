@@ -1,13 +1,13 @@
-"""Unit tests for the resilient sweep executor (serial paths).
+"""Unit tests for the sweep executor (serial paths).
 
-Parallel/crash/timeout recovery lives in
+Parallel and crash recovery live in
 tests/integration/test_executor_chaos.py; these tests cover plan
-validation, retry accounting, journaling, dedup, hooks and the strict
+validation, failure accounting, journaling, dedup, hooks and the strict
 vs degraded contract — all in-process, so they are fast.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import pytest
 
@@ -21,6 +21,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.runner import run_sweep
 
+from tests.chaos import inject
 from tests.sweeputil import run_fresh, tiny_point
 
 
@@ -34,29 +35,15 @@ class MisconfiguredFactory:
 
 class TestExecutionPlan:
     @pytest.mark.parametrize("kwargs", [
-        {"timeout": 0.0},
-        {"timeout": -1.0},
-        {"retries": -1},
-        {"backoff": -0.1},
-        {"backoff_cap": -1.0},
-        {"grace": -0.5},
         {"resume": True},  # resume without a journal path
     ], ids=lambda kwargs: next(iter(kwargs)))
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             ExecutionPlan(**kwargs)
 
-    def test_attempts_allowed(self):
-        assert ExecutionPlan().attempts_allowed == 1
-        assert ExecutionPlan(retries=3).attempts_allowed == 4
-
-    def test_backoff_doubles_then_caps(self):
-        plan = ExecutionPlan(backoff=0.5, backoff_cap=3.0)
-        assert [plan.backoff_delay(n) for n in (1, 2, 3, 4, 5)] == \
-            [0.5, 1.0, 2.0, 3.0, 3.0]
-
-    def test_zero_backoff_is_free(self):
-        assert ExecutionPlan(backoff=0.0).backoff_delay(7) == 0.0
+    def test_one_attempt_per_point_has_no_knobs(self):
+        assert [field.name for field in fields(ExecutionPlan)] == \
+            ["journal", "resume", "strict", "trace_path"]
 
 
 class TestValidation:
@@ -127,11 +114,11 @@ class TestSerialExecution:
             return journal
 
         monkeypatch.setattr(ResilientSweepExecutor, "_open_journal", traced)
-        monkeypatch.setenv("REPRO_CHAOS", "oom*9:doomed")
         points = [tiny_point(label=f"p{i}", seed=i + 1) for i in range(3)]
         points.append(tiny_point(label="doomed", seed=4))
-        outcome = execute_sweep(
-            points, plan=ExecutionPlan(journal=tmp_path / "j.sqlite"))
+        with inject("oom", "doomed"):
+            outcome = execute_sweep(
+                points, plan=ExecutionPlan(journal=tmp_path / "j.sqlite"))
         assert outcome.stats.executed == 3
         assert outcome.stats.failed == 1
         assert statements.count("COMMIT") == len(points)
@@ -144,62 +131,43 @@ class TestSerialExecution:
 
 
 class TestRetriesAndDegradation:
-    def test_retry_recovers_and_backs_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "error*1:flaky")
-        delays = []
-        plan = ExecutionPlan(retries=2, backoff=0.25, backoff_cap=10.0)
-        outcome = execute_sweep(
-            [tiny_point(label="flaky"), tiny_point(label="solid", seed=2)],
-            plan=plan, sleep=delays.append)
-        monkeypatch.delenv("REPRO_CHAOS")
-        assert outcome.complete
-        assert outcome.stats.retries == 1
-        assert outcome.stats.failed == 0
-        assert delays == [0.25]
-        # The sabotaged point still produced the untouched result.
-        assert outcome.results[0] == run_fresh(tiny_point(label="flaky"))
+    """One attempt per point: a failed point degrades, nothing retries."""
 
     def test_exhausted_point_degrades_without_losing_siblings(
-            self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CHAOS", "oom*9:doomed")
-        plan = ExecutionPlan(retries=1, backoff=0.0,
-                             journal=tmp_path / "j.sqlite")
+            self, tmp_path):
+        plan = ExecutionPlan(journal=tmp_path / "j.sqlite")
         points = [tiny_point(label="p0"), tiny_point(label="doomed", seed=2),
                   tiny_point(label="p2", seed=3)]
-        outcome = execute_sweep(points, plan=plan)
-        monkeypatch.delenv("REPRO_CHAOS")
+        with inject("oom", "doomed"):
+            outcome = execute_sweep(points, plan=plan)
         assert not outcome.complete
         assert outcome.results[0] == run_fresh(points[0])
         assert outcome.results[1] is None
         assert outcome.results[2] == run_fresh(points[2])
+        assert outcome.stats.executed == 2
         assert outcome.stats.failed == 1
         [failure] = outcome.report.failures
         assert failure.label == "doomed"
-        assert failure.attempts == 2
-        assert failure.causes == ("error", "error")
+        assert failure.cause == "error"
         assert "MemoryError" in failure.error
         assert "doomed" in outcome.report.summary()
-        # The journal agrees: siblings done, the doomed point failed.
+        # The journal agrees: siblings done, the doomed point failed once.
         from repro.experiments.journal import SweepJournal
         with SweepJournal(tmp_path / "j.sqlite") as j:
             assert j.counts() == {"done": 2, "failed": 1}
+            [failed] = j.failures()
+            assert failed["attempts"] == 1
 
-    def test_hooks_see_the_whole_lifecycle(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "error*1:flaky")
+    def test_hooks_see_the_whole_lifecycle(self):
         hooks = HookRegistry()
-        points_seen, retries_seen = [], []
+        points_seen = []
         hooks.add("exec_point",
                   lambda label, key, status, attempt, elapsed:
                   points_seen.append((label, status, attempt)))
-        hooks.add("exec_retry",
-                  lambda label, key, attempt, cause, delay:
-                  retries_seen.append((label, attempt, cause, delay)))
-        plan = ExecutionPlan(retries=1, backoff=0.125)
-        execute_sweep([tiny_point(label="flaky")], plan=plan, hooks=hooks,
-                      sleep=lambda s: None)
-        monkeypatch.delenv("REPRO_CHAOS")
-        assert retries_seen == [("flaky", 1, "error", 0.125)]
-        assert points_seen == [("flaky", "done", 2)]
+        with inject("error", "flaky"):
+            execute_sweep([tiny_point(label="flaky"),
+                           tiny_point(label="solid", seed=2)], hooks=hooks)
+        assert points_seen == [("flaky", "failed", 1), ("solid", "done", 1)]
 
     def test_trace_path_writes_lifecycle_events(self, tmp_path):
         trace = tmp_path / "exec.jsonl"
@@ -212,12 +180,11 @@ class TestRetriesAndDegradation:
 
 
 class TestStrictMode:
-    def test_strict_reraises_the_injected_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "error*9:bad")
+    def test_strict_reraises_the_injected_error(self):
         plan = ExecutionPlan(strict=True)
-        with pytest.raises(RuntimeError, match="chaos error injected"):
+        with inject("error", "bad"), \
+                pytest.raises(RuntimeError, match="injected error"):
             execute_sweep([tiny_point(label="bad")], plan=plan)
-        monkeypatch.delenv("REPRO_CHAOS")
 
     def test_strict_config_error_names_the_point(self):
         from dataclasses import replace
@@ -227,11 +194,10 @@ class TestStrictMode:
                            match="sweep point 'built-wrong'.*rate table"):
             run_sweep([point])  # legacy path defaults to strict
 
-    def test_run_sweep_degraded_returns_none_gaps(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "error*9:bad")
-        results = run_sweep(
-            [tiny_point(label="good"), tiny_point(label="bad", seed=2)],
-            execution=ExecutionPlan(retries=0))
-        monkeypatch.delenv("REPRO_CHAOS")
+    def test_run_sweep_degraded_returns_none_gaps(self):
+        with inject("error", "bad"):
+            results = run_sweep(
+                [tiny_point(label="good"), tiny_point(label="bad", seed=2)],
+                execution=ExecutionPlan())
         assert results[0] is not None
         assert results[1] is None

@@ -7,7 +7,6 @@ from repro.telemetry.events import (
     EVENT_TYPES,
     ExecCrashEvent,
     ExecPointEvent,
-    ExecRetryEvent,
     FaultEvent,
     LinkFailureEvent,
     PacketEvent,
@@ -30,10 +29,8 @@ SAMPLES = (
     RetransmitEvent(cycle=80, link_id=2, packet_id=9, attempt=1),
     LinkFailureEvent(cycle=500, link_id=11),
     ExecPointEvent(seq=0, label="Tw=100/light", key="ab" * 32,
-                   status="done", attempt=2, elapsed=3.5),
-    ExecRetryEvent(seq=1, label="Tw=100/light", key="ab" * 32,
-                   attempt=1, cause="timeout", delay=0.5),
-    ExecCrashEvent(seq=2, label="Tw=100/light", key="ab" * 32,
+                   status="done", attempt=1, elapsed=3.5),
+    ExecCrashEvent(seq=1, label="Tw=100/light", key="ab" * 32,
                    attempt=1, cause="crash"),
 )
 

@@ -31,10 +31,10 @@ RECORDS = [
 ]
 
 EXEC_RECORDS = [
-    {"kind": "exec_retry", "seq": 1, "label": "p0", "key": "k0",
-     "attempt": 1, "cause": "timeout", "delay": 0.5},
+    {"kind": "exec_crash", "seq": 1, "label": "p0", "key": "k0",
+     "attempt": 1, "cause": "crash"},
     {"kind": "exec_point", "seq": 2, "label": "p0", "key": "k0",
-     "status": "done", "attempt": 2, "elapsed": 3.25},
+     "status": "done", "attempt": 1, "elapsed": 3.25},
 ]
 
 
@@ -89,7 +89,7 @@ class TestChromeTrace:
         instants = [e for e in trace["traceEvents"] if e["ph"] == "i"]
         assert [e["cat"] for e in instants] == ["executor", "executor"]
         assert [e["ts"] for e in instants] == [1, 2]
-        assert instants[0]["name"] == "exec_retry"
+        assert instants[0]["name"] == "exec_crash"
         assert instants[1]["name"] == "done:p0"
         assert instants[1]["args"]["elapsed"] == 3.25
 

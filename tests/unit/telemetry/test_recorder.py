@@ -167,12 +167,12 @@ class TestTransitionSemantics:
 
 class TestExecutorRecorder:
     def fire_lifecycle(self, hooks: HookRegistry) -> None:
-        for callback in hooks.exec_retry:
-            callback("p0", "k0", 1, "timeout", 0.5)
         for callback in hooks.exec_crash:
-            callback("p1", "k1", 2, "crash")
+            callback("p1", "k1", 1, "crash")
         for callback in hooks.exec_point:
-            callback("p0", "k0", "done", 2, 1.25)
+            callback("p0", "k0", "failed", 1, 0.5)
+        for callback in hooks.exec_point:
+            callback("p1", "k1", "done", 1, 1.25)
 
     def test_records_sequenced_events(self):
         hooks = HookRegistry()
@@ -180,11 +180,10 @@ class TestExecutorRecorder:
         self.fire_lifecycle(hooks)
         events = recorder.sink.events()
         assert [(e.kind, e.seq) for e in events] == \
-            [("exec_retry", 1), ("exec_crash", 2), ("exec_point", 3)]
-        assert events[0].cause == "timeout"
+            [("exec_crash", 1), ("exec_point", 2), ("exec_point", 3)]
+        assert events[0].cause == "crash"
         assert events[2].status == "done"
-        assert recorder.counts == {"exec_retry": 1, "exec_crash": 1,
-                                   "exec_point": 1}
+        assert recorder.counts == {"exec_crash": 1, "exec_point": 2}
 
     def test_jsonl_path_round_trips(self, tmp_path):
         path = tmp_path / "exec.jsonl"
@@ -194,7 +193,7 @@ class TestExecutorRecorder:
         recorder.close()
         kinds = [json.loads(line)["kind"]
                  for line in path.read_text().splitlines()]
-        assert kinds == ["exec_retry", "exec_crash", "exec_point"]
+        assert kinds == ["exec_crash", "exec_point", "exec_point"]
 
     def test_double_attach_rejected_and_close_detaches(self):
         hooks = HookRegistry()
@@ -203,5 +202,4 @@ class TestExecutorRecorder:
             recorder.attach(hooks)
         recorder.close()
         assert hooks.exec_point == []
-        assert hooks.exec_retry == []
         assert hooks.exec_crash == []
