@@ -88,25 +88,28 @@ RESET_EXEMPT: dict[str, dict[str, frozenset[str]]] = {
     "repro/core/manager.py": {
         # The manager's reset(config) swaps policy scalars on the warm
         # fabric; the fabric binding, ladder, billing table and the
-        # service-time plumbing are the structural pieces whose
+        # per-level service times are the structural pieces whose
         # compatibility the structurally_compatible() guard checks
         # before reset is allowed at all.
         "NetworkPowerManager": frozenset({
             "network", "ladder", "power_model", "multi_optical", "bands",
-            "table", "_service_time_fn", "links", "_baseline_power",
+            "table", "service_times", "links", "_baseline_power",
         }),
     },
     "repro/core/power_link.py": {
         # Transport link, ladder and the shared per-level billing row
-        # survive; policy/engine/optical are rebuilt fresh by reset().
+        # survive; policy/engine are reset in place by reset().
         "PowerAwareLink": frozenset({
             "link", "ladder", "level_powers", "downstream_buffer",
         }),
     },
-    "repro/core/policy.py": {
-        # The threshold configuration is what the controller *is*;
-        # PowerAwareLink.reset rebuilds controllers to change it.
-        "LinkPolicyController": frozenset({"config"}),
+    "repro/core/transitions.py": {
+        # The transport link, ladder and the manager's shared per-level
+        # service times are structural; billing_listener is the owning
+        # PowerAwareLink's _charge, wired once at construction.
+        "LinkTransitionEngine": frozenset({
+            "link", "ladder", "service_times", "billing_listener",
+        }),
     },
 }
 

@@ -280,6 +280,11 @@ def _command_run(args) -> int:
         print("\nworm streams:")
         for name, value in sim.stream_counters().items():
             print(f"  {name:<22} {value}")
+        control = sim.control_counters()
+        if control:
+            print("\npower control:")
+            for name, value in control.items():
+                print(f"  {name:<22} {value}")
     else:
         result = run_simulation(scale, power, factory, label="cli",
                                 seed=args.seed, cycles=args.cycles,

@@ -10,7 +10,8 @@ of modulo checks and set scans.
 
 Ordering is fully deterministic: events firing on the same cycle run in
 ``(priority, insertion order)``.  The priorities below fix the control
-phase's within-cycle order: transition completions, then window policy,
+phase's within-cycle order: transition phase ends (the power manager
+schedules only voltage ramp-up ends), then window policy,
 then laser epochs, then power sampling, then the stall watchdog.
 
 Callbacks receive the current cycle: ``callback(now)``.  Recurring timers

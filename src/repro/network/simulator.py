@@ -12,8 +12,11 @@ fixed phase order chosen so every component sees a consistent picture:
    onto injection links;
 4. **generate** — the traffic source creates this cycle's new packets;
 5. **control** — the event wheel runs whatever control work is due this
-   cycle: link transition completions, window-boundary policy evaluation,
-   laser epochs, power sampling and the stall watchdog.
+   cycle: the end of up-steps' voltage ramps, window-boundary policy
+   evaluation, laser epochs, power sampling and the stall watchdog.
+   Other transition phase ends change only the billed level; readers
+   apply them (:meth:`~repro.core.manager.NetworkPowerManager.catch_up`),
+   the last one at the end of every :meth:`Simulator.run` call.
 
 The engine makes each phase cost O(active components), not O(network):
 every flit pushed onto a link with a hand-over to make is filed in a
@@ -481,6 +484,10 @@ class Simulator:
             self.cycle = now
         if streams.active:
             streams.cut_all(now - 1, "run_end")
+        if self.power is not None:
+            # Transition completions that change no transport wait for a
+            # reader: leave the control state exact between calls.
+            self.power.catch_up(now - 1)
 
     def run_until_drained(self, max_cycles: int,
                           poll_interval: int = 512) -> bool:
@@ -524,6 +531,15 @@ class Simulator:
         part of any result, so runs with and without streams digest
         alike."""
         return self._streams.counters()
+
+    def control_counters(self) -> dict[str, int]:
+        """Power-control counters of the run so far (see
+        :meth:`repro.core.manager.NetworkPowerManager.control_counters`;
+        empty for the baseline); like :meth:`stream_counters`, not part
+        of any result."""
+        if self.power is None:
+            return {}
+        return self.power.control_counters()
 
     def finalize(self) -> None:
         """Flush power-accounting integrals and telemetry buffers."""

@@ -31,7 +31,7 @@ flight are taken off the links and out of the arrival calendar.  The
 stream writes back exactly the state the per-flit path would have left
 
 * at the end of a cycle: before a policy window, laser epoch or watchdog
-  check (power samples and transition wakes leave streams alone), at
+  check (power samples and voltage ramp ends leave streams alone), at
   the end of ``run()``, when its tail leaves the last router or (while
   the node has more to send) its source node, and when the node that
   feeds it is about to pick its stream's VC;
@@ -843,9 +843,9 @@ class WormStreams:
         """The wheel fires at the end of cycle ``now``: write every
         stream back unless all its due events leave streams alone.
 
-        Power samples read only billing levels, and a transition wake
-        changes a link's transport only at the end of a voltage ramp-up,
-        which no stream's path is in (see :meth:`_try`).
+        Power samples read only billing levels, and the only transition
+        event, the end of a voltage ramp-up, changes the transport of a
+        link no stream's path is on (see :meth:`_try`).
         """
         if self.sim.wheel.next_event_outside(QUIET_EVENTS) <= now:
             self.cut_all(now, CUT_WHEEL)

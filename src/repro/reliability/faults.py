@@ -185,6 +185,9 @@ class LinkFaultState:
         self.retry_busy_cycles += service
         pal = self.pal
         if pal is not None:
+            # The deliver phase: the control phase last ran at ``now - 1``,
+            # so the billed level is read as of then.
+            pal.advance(now - 1)
             self.retry_energy_watt_cycles += service * pal.current_power()
         hooks = self.hooks
         if hooks is not None and hooks.retransmit:

@@ -44,7 +44,7 @@ def make_pal() -> tuple[PowerAwareLink, Link]:
         transition_config=TransitionConfig(
             bit_rate_transition_cycles=3, voltage_transition_cycles=12,
         ),
-        service_time_fn=lambda level: LADDER.max_rate / LADDER.rate(level),
+        service_times=tuple(LADDER.max_rate / rate for rate in LADDER.rates),
         downstream_buffer=(InputBuffer(8),),
     )
     return pal, link

@@ -1,7 +1,7 @@
 """Flag / no-flag fixtures for the reset-completeness rules (RC001-RC003).
 
 RC001/RC002 fixtures use neutral module paths; the exemption-driven
-cases write to the real spec paths (``repro/core/policy.py``,
+cases write to the real spec paths (``repro/network/buffers.py``,
 ``repro/network/arbiters.py``) so the ``RESET_EXEMPT`` entries apply.
 """
 
@@ -100,15 +100,15 @@ class TestResetCompleteness:
         assert result.ok
 
     def test_exempt_structural_attr_passes(self, check_tree):
-        # `config` is exempted for LinkPolicyController in RESET_EXEMPT.
+        # `capacity` is exempted for InputBuffer in RESET_EXEMPT.
         result = check_tree({
-            "repro/core/policy.py": (
-                "class LinkPolicyController:\n"
-                "    def __init__(self, config):\n"
-                "        self.config = config\n"
-                "        self.decisions = {}\n"
+            "repro/network/buffers.py": (
+                "class InputBuffer:\n"
+                "    def __init__(self, capacity):\n"
+                "        self.capacity = capacity\n"
+                "        self._fifo = []\n"
                 "    def reset(self):\n"
-                "        self.decisions = {}\n"
+                "        self._fifo = []\n"
             ),
         }, rule_ids=["RC001"])
         assert result.ok
@@ -116,9 +116,9 @@ class TestResetCompleteness:
     def test_exemption_does_not_travel_to_other_modules(self, check_tree):
         result = check_tree({
             "repro/network/gadget.py": (
-                "class LinkPolicyController:\n"
-                "    def __init__(self, config):\n"
-                "        self.config = config\n"
+                "class InputBuffer:\n"
+                "    def __init__(self, capacity):\n"
+                "        self.capacity = capacity\n"
                 "    def reset(self):\n"
                 "        pass\n"
             ),

@@ -37,7 +37,7 @@ def make_pal(optical=False, initial_level=None):
         policy_config=PolicyConfig(window_cycles=int(WINDOW),
                                    history_windows=1),
         transition_config=transitions,
-        service_time_fn=lambda level: ladder.max_rate / ladder.rate(level),
+        service_times=tuple(ladder.max_rate / rate for rate in ladder.rates),
         downstream_buffer=(buffer,),
         optical=controller,
         initial_level=initial_level,

@@ -18,10 +18,8 @@ def make_engine(initial_level=None, tv=TV, tbr=TBR):
     config = TransitionConfig(bit_rate_transition_cycles=tbr,
                               voltage_transition_cycles=tv)
 
-    def service_time(level: int) -> float:
-        return ladder.max_rate / ladder.rate(level)
-
-    engine = LinkTransitionEngine(link, ladder, config, service_time,
+    service_times = tuple(ladder.max_rate / rate for rate in ladder.rates)
+    engine = LinkTransitionEngine(link, ladder, config, service_times,
                                   initial_level)
     return engine, link
 

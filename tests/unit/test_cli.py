@@ -100,6 +100,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "relative power" in out
 
+    def test_run_profile_reports_control_counters(self, capsys):
+        code = main(["run", "--scale", "smoke", "--rate", "0.1",
+                     "--cycles", "1500", "--profile"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "worm streams:" in out and "power control:" in out
+        for name in ("transition_events", "completions_on_read",
+                     "link_windows_evaluated", "link_windows_parked"):
+            assert name in out
+
     def test_run_with_baseline(self, capsys):
         # Longer than the smoke scale's 1500-cycle warmup, so measured
         # latencies exist on both sides of the normalisation.
