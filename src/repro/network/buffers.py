@@ -72,10 +72,6 @@ class InputBuffer:
             raise SimulationError("head() on an empty input buffer")
         return self._fifo[0]
 
-    def _advance(self, now: float) -> None:
-        self._occ_integral += len(self._fifo) * (now - self._last_event)
-        self._last_event = now
-
     def push(self, flit: Flit, now: float) -> None:
         """Append an arriving flit at cycle ``now``.
 
@@ -87,7 +83,6 @@ class InputBuffer:
             raise SimulationError(
                 "input buffer overflow: upstream sent a flit without credit"
             )
-        # _advance(), inlined: push/pop run once per flit per hop.
         self._occ_integral += len(fifo) * (now - self._last_event)
         self._last_event = now
         fifo.append(flit)
@@ -101,22 +96,32 @@ class InputBuffer:
         self._last_event = now
         return fifo.popleft()
 
-    def mean_utilisation(self, window_start: float, window_end: float) -> float:
-        """Average fraction of slots occupied over a closed window.
 
-        Implements the ``Bu`` term of paper Eq. 10 for one buffer.  Call at
-        each window boundary; the internal integral is then reset so the
-        next window starts fresh.
-        """
-        if window_end <= window_start:
-            raise ConfigError(
-                f"window must have positive length: [{window_start}, {window_end}]"
-            )
-        self._advance(window_end)
-        mean_occupancy = self._occ_integral / (window_end - window_start)
-        self._occ_integral = 0.0
-        return min(1.0, mean_occupancy / self.capacity)
 
+def mean_utilisation(buffers: tuple[InputBuffer, ...], window_start: float,
+                     window_end: float) -> float:
+    """Mean fraction of slots occupied over a closed window, averaged over
+    ``buffers`` (one input port's virtual-channel buffers).
+
+    Implements the ``Bu`` term of paper Eq. 10.  Call at each window
+    boundary; each buffer's occupancy integral is then reset so the next
+    window starts fresh.  One call reads the whole port: the policy reads
+    every link's downstream port once per window.
+    """
+    if window_end <= window_start:
+        raise ConfigError(
+            f"window must have positive length: [{window_start}, {window_end}]"
+        )
+    window = window_end - window_start
+    utilisations = []
+    for buffer in buffers:
+        buffer._occ_integral += len(buffer._fifo) * (
+            window_end - buffer._last_event)
+        buffer._last_event = window_end
+        mean_occupancy = buffer._occ_integral / window
+        buffer._occ_integral = 0.0
+        utilisations.append(min(1.0, mean_occupancy / buffer.capacity))
+    return sum(utilisations) / len(buffers)
 
 class CreditCounter:
     """Upstream credit state for one downstream input buffer.

@@ -236,16 +236,23 @@ class Link:
             raise ConfigError(f"disable cycles must be >= 0, got {cycles!r}")
         self.disabled_until = max(self.disabled_until, now + cycles)
 
-    def take_busy_time(self, now: float | None = None) -> float:
-        """Return and reset the accumulated busy time (Eq. 10 numerator).
+    def take_counters(self, now: float | None = None) -> tuple[float, float]:
+        """Return and reset the (busy, pressure) times (Eq. 10 numerators).
 
-        ``push`` bills a flit's full service time up front, so a flit that
-        straddles a sampling-window boundary would otherwise be counted
-        entirely in the window where the push happened.  Passing the window
-        end as ``now`` pro-rates that flit: the serialisation time still
-        ahead (``free_at - now``) is carried into the next window instead of
-        being billed to this one, making per-window Lu exact.  With ``now``
-        omitted the full accumulator is taken (manual probes, tests).
+        *Busy* time is serialisation time.  ``push`` bills a flit's full
+        service time up front, so a flit that straddles a sampling-window
+        boundary would otherwise be counted entirely in the window where
+        the push happened.  Passing the window end as ``now`` pro-rates
+        that flit: the serialisation time still ahead (``free_at - now``)
+        is carried into the next window instead of being billed to this
+        one, making per-window Lu exact.  With ``now`` omitted the full
+        accumulator is taken (manual probes, tests).
+
+        *Pressure* time counts cycles where the upstream side had a flit
+        destined for this link, including cycles where credits, virtual
+        channels or the serialiser blocked it.  A link can be the
+        bottleneck of a congestion tree while its serialiser idles on
+        empty credit counters; pressure sees that, busy time does not.
         """
         busy = self.busy_accum
         if now is not None and self.free_at > now:
@@ -256,17 +263,6 @@ class Link:
             self.busy_accum = carry
         else:
             self.busy_accum = 0.0
-        return busy
-
-    def take_pressure_time(self) -> float:
-        """Return and reset the accumulated demand-pressure time.
-
-        Pressure counts cycles where the upstream side had a flit destined
-        for this link, including cycles where credits, virtual channels or
-        the serialiser blocked it.  A link can be the bottleneck of a
-        congestion tree while its serialiser idles on empty credit
-        counters; pressure sees that, busy time does not.
-        """
         pressure = self.pressure_accum
         self.pressure_accum = 0.0
-        return pressure
+        return busy, pressure

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.buffers import CreditCounter, InputBuffer
+from repro.network.buffers import CreditCounter, InputBuffer, mean_utilisation
 from repro.network.packet import Packet
 
 
@@ -73,7 +73,7 @@ class TestBufferProperties:
             else:
                 buffer.pop(float(t))
         window_end = float(len(ops)) + 1.0
-        utilisation = buffer.mean_utilisation(0.0, window_end)
+        utilisation = mean_utilisation((buffer,), 0.0, window_end)
         assert 0.0 <= utilisation <= 1.0
 
 

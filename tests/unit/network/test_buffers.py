@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError, SimulationError
-from repro.network.buffers import CreditCounter, InputBuffer
+from repro.network.buffers import CreditCounter, InputBuffer, mean_utilisation
 from repro.network.packet import Packet
 
 
@@ -55,13 +55,13 @@ class TestOccupancyIntegral:
         (flit,) = make_flits(1)
         buffer.push(flit, 0.0)
         # One flit in a 4-slot buffer for the whole [0, 100) window.
-        assert buffer.mean_utilisation(0.0, 100.0) == pytest.approx(0.25)
+        assert mean_utilisation((buffer,), 0.0, 100.0) == pytest.approx(0.25)
 
     def test_half_window_occupancy(self):
         buffer = InputBuffer(4)
         (flit,) = make_flits(1)
         buffer.push(flit, 50.0)
-        assert buffer.mean_utilisation(0.0, 100.0) == pytest.approx(0.125)
+        assert mean_utilisation((buffer,), 0.0, 100.0) == pytest.approx(0.125)
 
     def test_push_then_pop_partial(self):
         buffer = InputBuffer(2)
@@ -69,20 +69,20 @@ class TestOccupancyIntegral:
         buffer.push(flit, 0.0)
         buffer.pop(25.0)
         # 1 flit of 2 slots for a quarter of the window.
-        assert buffer.mean_utilisation(0.0, 100.0) == pytest.approx(0.125)
+        assert mean_utilisation((buffer,), 0.0, 100.0) == pytest.approx(0.125)
 
     def test_integral_resets_per_window(self):
         buffer = InputBuffer(4)
         (flit,) = make_flits(1)
         buffer.push(flit, 0.0)
         buffer.pop(100.0)
-        assert buffer.mean_utilisation(0.0, 100.0) == pytest.approx(0.25)
+        assert mean_utilisation((buffer,), 0.0, 100.0) == pytest.approx(0.25)
         # Next window: buffer was empty throughout.
-        assert buffer.mean_utilisation(100.0, 200.0) == pytest.approx(0.0)
+        assert mean_utilisation((buffer,), 100.0, 200.0) == pytest.approx(0.0)
 
     def test_degenerate_window_rejected(self):
         with pytest.raises(ConfigError):
-            InputBuffer(2).mean_utilisation(10.0, 10.0)
+            mean_utilisation((InputBuffer(2),), 10.0, 10.0)
 
 
 class TestCreditCounter:

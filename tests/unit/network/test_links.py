@@ -115,14 +115,14 @@ class TestCounters:
         flits = make_flits(3)
         for i, flit in enumerate(flits):
             link.push(flit, i * 2.0)
-        assert link.take_busy_time() == pytest.approx(6.0)
-        assert link.take_busy_time() == 0.0  # reset on read
+        assert link.take_counters()[0] == pytest.approx(6.0)
+        assert link.take_counters()[0] == 0.0  # reset on read
 
     def test_pressure_independent_of_busy(self):
         link = make_link()
         link.pressure_accum += 5.0
-        assert link.take_pressure_time() == 5.0
-        assert link.take_pressure_time() == 0.0
+        assert link.take_counters() == (0.0, 5.0)
+        assert link.take_counters() == (0.0, 0.0)
 
     def test_flits_carried(self):
         link = make_link(service_time=1.0)
@@ -158,7 +158,7 @@ class TestRegistry:
 class TestBusyTimeProRating:
     """Regression: push bills a flit's full service time up front, so a
     flit straddling a sampling-window boundary used to be counted entirely
-    in the window where the push happened.  take_busy_time(now) must carry
+    in the window where the push happened.  take_counters(now) must carry
     the still-ahead serialisation time into the next window."""
 
     def test_straddling_flit_split_across_windows(self):
@@ -166,24 +166,24 @@ class TestBusyTimeProRating:
         (flit,) = make_flits(1)
         link.push(flit, 8.0)  # serialises over [8, 12)
         # Window ends at 10: only 2 of the 4 cycles belong to it.
-        assert link.take_busy_time(10.0) == pytest.approx(2.0)
+        assert link.take_counters(10.0)[0] == pytest.approx(2.0)
         assert link.busy_accum == pytest.approx(2.0)
         # The carried 2 cycles land in the next window.
-        assert link.take_busy_time(20.0) == pytest.approx(2.0)
+        assert link.take_counters(20.0)[0] == pytest.approx(2.0)
         assert link.busy_accum == 0.0
 
     def test_flit_fully_inside_window_is_fully_billed(self):
         link = make_link(service_time=3.0)
         (flit,) = make_flits(1)
         link.push(flit, 1.0)
-        assert link.take_busy_time(10.0) == pytest.approx(3.0)
+        assert link.take_counters(10.0)[0] == pytest.approx(3.0)
         assert link.busy_accum == 0.0
 
     def test_omitting_now_takes_the_full_accumulator(self):
         link = make_link(service_time=4.0)
         (flit,) = make_flits(1)
         link.push(flit, 8.0)
-        assert link.take_busy_time() == pytest.approx(4.0)
+        assert link.take_counters()[0] == pytest.approx(4.0)
         assert link.busy_accum == 0.0
 
     def test_windows_sum_to_total_service_time(self):
@@ -194,7 +194,7 @@ class TestBusyTimeProRating:
             link.push(flit, now)
             now += 2.5
         total = sum(
-            link.take_busy_time(float(end)) for end in (3, 6, 9, 12)
+            link.take_counters(float(end))[0] for end in (3, 6, 9, 12)
         )
         assert total == pytest.approx(4 * 2.5)
         assert link.busy_accum == 0.0
