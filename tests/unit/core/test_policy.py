@@ -12,18 +12,32 @@ def make_controller(**overrides) -> LinkPolicyController:
 
 
 class TestThresholdSelection:
+    """Table 1's (TL, TH) pair, read off the decisions at its edges (one
+    window of history, so the Eq. 11 average is the sample itself)."""
+
+    @staticmethod
+    def decide(lu, bu, **overrides):
+        return make_controller(history_windows=1, **overrides).observe(lu, bu)
+
     def test_uncongested_pair(self):
-        controller = make_controller()
-        assert controller.thresholds(bu=0.2) == (0.4, 0.6)
+        # (0.4, 0.6) below Bu_con.
+        assert self.decide(0.39, 0.2) == STEP_DOWN
+        assert self.decide(0.4, 0.2) == HOLD
+        assert self.decide(0.6, 0.2) == HOLD
+        assert self.decide(0.61, 0.2) == STEP_UP
 
     def test_congested_pair_at_bu_con(self):
-        # Table 1 switches at Bu >= 0.5.
-        controller = make_controller()
-        assert controller.thresholds(bu=0.5) == (0.6, 0.7)
+        # Table 1 switches to (0.6, 0.7) at Bu >= 0.5.
+        assert self.decide(
+            0.59, 0.5, congestion_inhibits_downscale=False) == STEP_DOWN
+        assert self.decide(
+            0.6, 0.5, congestion_inhibits_downscale=False) == HOLD
+        assert self.decide(0.7, 0.5) == HOLD
+        assert self.decide(0.71, 0.5) == STEP_UP
 
     def test_invalid_bu_rejected(self):
         with pytest.raises(ConfigError):
-            make_controller().thresholds(bu=1.5)
+            make_controller().observe(lu=0.5, bu=1.5)
 
 
 class TestBasicDecisions:
