@@ -1,54 +1,21 @@
-"""The rule framework behind ``repro check``.
+"""The rule framework behind ``python -m repro.analysis``.
 
 A :class:`Rule` inspects parsed source and yields :class:`Finding`\\ s; the
 runner (:func:`run_check`) collects the project's files, parses each one
-once, applies every rule, filters suppressed findings and renders the
-result as human-readable text or JSON.
+once, applies every rule and renders the result as a text report.
 
-Suppression
------------
-A finding is suppressed by a ``# repro: noqa[<rule id>]`` comment on
-the flagged line (e.g. ``noqa`` + ``[UN001]``), or for a whole file by
-a ``# repro: noqa-file[<rule id>]`` comment anywhere in it
-(conventionally at the top).  The examples spell the bracket out
-because the parser scans *raw lines* — a literal example here would
-register as a real (and stale, see SU001) suppression for this file.
-
-Several ids may share one comment (``[DT001,DT004]``).  Every
-suppression should carry a short justification after the bracket; the
-text is free-form but reviewers treat an unexplained suppression as a
-finding of its own.
+There is no suppression comment: every finding fails the check, so a
+rule that flags correct code is fixed (or its exemption table, such as
+``RESET_EXEMPT``, is extended with a justification) rather than silenced
+at the call site.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-import re
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-
-#: Severity levels, mild to fatal.  Any non-suppressed finding fails the
-#: check regardless of severity; the level exists so reports can rank.
-WARNING = "warning"
-ERROR = "error"
-Severity = str
-
-#: ``# repro: noqa[ID,...]`` (line) / ``# repro: noqa-file[ID,...]`` (file).
-_SUPPRESS_RE = re.compile(
-    r"#\s*repro:\s*noqa(?P<file>-file)?\[(?P<ids>[A-Z]{2}\d{3}"
-    r"(?:\s*,\s*[A-Z]{2}\d{3})*)\]"
-)
-
-#: Output-schema version stamped into every JSON report.
-JSON_SCHEMA_VERSION = 1
-
-#: Rule id of the stale-suppression meta-rule.  Its detection lives in
-#: :func:`run_check` (suppressions are only matched after every other
-#: rule has produced findings); the rule class in ``rules/suppressions``
-#: carries the id, severity and documentation.
-STALE_SUPPRESSION_ID = "SU001"
 
 
 @dataclass(frozen=True, order=True)
@@ -60,7 +27,6 @@ class Finding:
     col: int
     rule_id: str
     message: str
-    severity: Severity = ERROR
     hint: str = ""
 
     def format(self) -> str:
@@ -70,127 +36,45 @@ class Finding:
             text += f"  (hint: {self.hint})"
         return text
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "rule": self.rule_id,
-            "severity": self.severity,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "hint": self.hint,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, object]) -> "Finding":
-        """Inverse of :meth:`as_dict` (JSON report round-trip)."""
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            col=int(data["col"]),  # type: ignore[arg-type]
-            rule_id=str(data["rule"]),
-            message=str(data["message"]),
-            severity=str(data.get("severity", ERROR)),
-            hint=str(data.get("hint", "")),
-        )
-
-
-@dataclass(frozen=True)
-class SuppressionSite:
-    """One ``noqa[ID]`` comment, for stale-suppression accounting."""
-
-    rel: str
-    #: Line of the comment itself (the suppressed line for line-level
-    #: sites; wherever the ``noqa-file`` comment sits for file-level).
-    line: int
-    rule_id: str
-    file_wide: bool
-
 
 @dataclass
 class SourceFile:
-    """One parsed file: AST, raw lines and its suppression comments."""
+    """One parsed file: its repo-relative path and AST."""
 
-    path: Path
     rel: str
-    text: str
     tree: ast.AST
-    #: line number -> rule ids suppressed on that line.
-    line_suppressions: dict[int, set[str]] = field(default_factory=dict)
-    #: rule ids suppressed for the whole file.
-    file_suppressions: set[str] = field(default_factory=set)
-    #: every suppression comment, one site per (location, rule id).
-    suppression_sites: list[SuppressionSite] = field(default_factory=list)
 
     @classmethod
     def parse(cls, path: Path, rel: str) -> "SourceFile":
         text = path.read_text(encoding="utf-8")
-        tree = ast.parse(text, filename=rel)
-        src = cls(path=path, rel=rel, text=text, tree=tree)
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if "repro:" not in line:
-                continue
-            for match in _SUPPRESS_RE.finditer(line):
-                ids = {part.strip() for part in match.group("ids").split(",")}
-                file_wide = bool(match.group("file"))
-                if file_wide:
-                    src.file_suppressions |= ids
-                else:
-                    src.line_suppressions.setdefault(lineno, set()).update(ids)
-                for rule_id in ids:
-                    src.suppression_sites.append(SuppressionSite(
-                        rel=rel, line=lineno, rule_id=rule_id,
-                        file_wide=file_wide,
-                    ))
-        return src
-
-    def suppresses(self, finding: Finding) -> bool:
-        return self.matching_site(finding) is not None
-
-    def matching_site(self, finding: Finding) -> SuppressionSite | None:
-        """The suppression site covering ``finding``, if any.
-
-        File-wide sites win (they are what makes the finding disappear
-        however the flagged line moves); the returned site is what the
-        stale-suppression pass marks as *used*.
-        """
-        line_match = None
-        for site in self.suppression_sites:
-            if site.rule_id != finding.rule_id:
-                continue
-            if site.file_wide:
-                return site
-            if site.line == finding.line and line_match is None:
-                line_match = site
-        return line_match
+        return cls(rel=rel, tree=ast.parse(text, filename=rel))
 
 
 class Project:
-    """Every parsed file of one check run, keyed by repo-relative path."""
+    """Every parsed file of one check run."""
 
-    def __init__(self, files: Sequence[SourceFile], root: Path):
+    def __init__(self, files: Sequence[SourceFile]):
         self.files = list(files)
-        self.root = root
-        self.by_rel = {src.rel: src for src in self.files}
 
     def __iter__(self) -> Iterator[SourceFile]:
         return iter(self.files)
 
 
 class Rule:
-    """Base class: one invariant, one stable id, one severity.
+    """Base class: one invariant, one stable id.
 
     Subclasses override :meth:`check_file` (per-file rules) and/or
     :meth:`check_project` (cross-file rules that need the whole
-    :class:`Project`, e.g. the hook-contract family).  ``scope`` decides
-    which files a per-file rule sees; project rules receive everything
-    and scope themselves.
+    :class:`Project`, e.g. the reset-completeness family).  ``scope``
+    decides which files a per-file rule sees; project rules receive
+    everything and scope themselves.
     """
 
     rule_id: str = "XX000"
     name: str = "unnamed"
-    severity: Severity = ERROR
     description: str = ""
+    #: Default fix hint attached to findings (subclasses set it).
+    hint: str = ""
 
     def scope(self, rel: str) -> bool:
         """Whether this rule applies to the file at repo-relative ``rel``."""
@@ -212,22 +96,16 @@ class Rule:
             col=col if col is not None else getattr(node, "col_offset", 0),
             rule_id=self.rule_id,
             message=message,
-            severity=self.severity,
             hint=self.hint if hint is None else hint,
         )
-
-    #: Default fix hint attached to findings (subclasses set it).
-    hint: str = ""
 
 
 @dataclass
 class CheckResult:
-    """Outcome of one ``repro check`` run."""
+    """Outcome of one check run."""
 
     findings: list[Finding]
-    suppressed: int
     files_checked: int
-    root: str
 
     @property
     def ok(self) -> bool:
@@ -239,21 +117,8 @@ class CheckResult:
             counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
         return counts
 
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "version": JSON_SCHEMA_VERSION,
-            "root": self.root,
-            "files_checked": self.files_checked,
-            "suppressed": self.suppressed,
-            "counts": self.counts_by_rule(),
-            "findings": [finding.as_dict() for finding in self.findings],
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
     def format_text(self) -> str:
-        """The human report: one line per finding plus a summary."""
+        """The report: one line per finding plus a summary."""
         lines = [finding.format() for finding in self.findings]
         counts = self.counts_by_rule()
         if counts:
@@ -262,12 +127,11 @@ class CheckResult:
             )
             lines.append(
                 f"\n{len(self.findings)} finding(s) in {self.files_checked} "
-                f"file(s) [{breakdown}] ({self.suppressed} suppressed)"
+                f"file(s) [{breakdown}]"
             )
         else:
             lines.append(
-                f"clean: 0 findings in {self.files_checked} file(s) "
-                f"({self.suppressed} suppressed)"
+                f"clean: 0 findings in {self.files_checked} file(s)"
             )
         return "\n".join(lines)
 
@@ -292,87 +156,39 @@ def collect_files(paths: Sequence[Path], root: Path) -> list[SourceFile]:
 
 
 def run_check(paths: Sequence[Path | str] | None = None,
-              rules: Sequence[Rule] | None = None,
               root: Path | str | None = None,
               rule_ids: Sequence[str] | None = None) -> CheckResult:
-    """Run ``rules`` over ``paths`` and return the filtered result.
+    """Run the registered rules over ``paths`` and return the result.
 
     ``paths`` defaults to the package's own source tree (``src/repro``
-    resolved relative to this installation), so the CI invocation and the
-    meta-test need no arguments.  ``rule_ids`` restricts the run to a
-    subset of rule ids (for bisecting a report).
+    resolved relative to this installation), so the CLI and the
+    meta-test need no arguments.  Findings are reported relative to
+    ``root`` (default: the checkout root).  ``rule_ids`` restricts the
+    run to a subset of rule ids.
     """
     from repro.analysis.rules import all_rules
 
-    if root is None:
-        root = default_root()
-    root = Path(root)
+    root = default_root() if root is None else Path(root)
     if paths is None:
         paths = [default_source_tree()]
-    resolved = [Path(p) for p in paths]
-    if rules is None:
-        rules = all_rules()
+    rules = all_rules()
     if rule_ids is not None:
         wanted = set(rule_ids)
         unknown = wanted - {rule.rule_id for rule in rules}
         if unknown:
             raise ValueError(f"unknown rule ids: {sorted(unknown)}")
         rules = [rule for rule in rules if rule.rule_id in wanted]
-    files = collect_files(resolved, root)
-    project = Project(files, root)
+    files = collect_files([Path(p) for p in paths], root)
+    project = Project(files)
 
-    raw: list[Finding] = []
+    findings: list[Finding] = []
     for rule in rules:
         for src in project:
             if rule.scope(src.rel):
-                raw.extend(rule.check_file(src, project))
-        raw.extend(rule.check_project(project))
-
-    findings: list[Finding] = []
-    suppressed = 0
-    used_sites: set[SuppressionSite] = set()
-    for finding in raw:
-        src = project.by_rel.get(finding.path)
-        site = src.matching_site(finding) if src is not None else None
-        if site is not None:
-            suppressed += 1
-            used_sites.add(site)
-        else:
-            findings.append(finding)
-
-    # Stale-suppression pass (SU001): a noqa that matched nothing is a
-    # finding of its own, but only when the suppressed rule actually ran
-    # (a --rules subset must not flag every other family's noqa), and
-    # never for noqa[SU001] itself (suppressing a stale-suppression
-    # report is a reviewed decision, not a staleness signal).
-    active_ids = {rule.rule_id for rule in rules}
-    stale_rule = next(
-        (rule for rule in rules if rule.rule_id == STALE_SUPPRESSION_ID),
-        None)
-    if stale_rule is not None:
-        for src in project:
-            for site in src.suppression_sites:
-                if (site.rule_id == STALE_SUPPRESSION_ID
-                        or site.rule_id not in active_ids
-                        or site in used_sites):
-                    continue
-                stale = stale_rule.finding(
-                    src.rel, None,
-                    f"noqa{'-file' if site.file_wide else ''}"
-                    f"[{site.rule_id}] suppresses no finding",
-                    line=site.line,
-                )
-                if src.matching_site(stale) is not None:
-                    suppressed += 1
-                else:
-                    findings.append(stale)
+                findings.extend(rule.check_file(src, project))
+        findings.extend(rule.check_project(project))
     findings.sort()
-    return CheckResult(
-        findings=findings,
-        suppressed=suppressed,
-        files_checked=len(files),
-        root=str(root),
-    )
+    return CheckResult(findings=findings, files_checked=len(files))
 
 
 def default_source_tree() -> Path:

@@ -1,27 +1,9 @@
-"""Cross-file project models for the hook-contract and stateful rules.
+"""Per-class attribute models for the reset-completeness (``RC``) rules.
 
-Two extracted models live here:
-
-* :class:`HookModel` — the hook contract (vocabulary, registrations,
-  fire sites) backing the ``HC`` family;
-* :class:`ClassModelIndex` — per-class attribute dataflow (attributes
-  assigned in ``__init__``, reassigned or restored in ``reset()``,
-  mutated elsewhere) backing the ``RC`` family.
-
-The hook contract has three legs spread over the whole package:
-
-* the **vocabulary** — the ``EVENTS`` tuple in
-  :mod:`repro.engine.hooks` is the single source of truth for hook
-  names;
-* **registrations** — ``hooks.add("event", callback)`` calls (and the
-  telemetry recorder's wiring tuples) subscribe callbacks;
-* **fires** — the engine reads ``hooks.<event>`` and calls each entry:
-  either directly (``for cb in hooks.window``) or through a local alias
-  (``delivery_hooks = self.hooks.delivery``) or a cross-object alias
-  (``self.stats.packet_hooks = self.hooks.packet_delivered``).
-
-:class:`HookModel` extracts all three legs from the parsed ASTs so the
-``HC`` rules can cross-check them without executing anything.
+:class:`ClassModelIndex` records, for every top-level class, the
+attributes ``__init__`` assigns, those ``reset()`` reassigns or restores
+in place, and the helpers either method delegates to, with base-class
+and ``super().__init__`` resolution across files.
 """
 
 from __future__ import annotations
@@ -30,15 +12,6 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis.framework import Project, SourceFile
-
-#: Repo-relative path of the registry definition (the vocabulary source).
-HOOKS_MODULE_SUFFIX = "repro/engine/hooks.py"
-
-#: Attribute names on a ``HookRegistry`` that are not event lists.
-REGISTRY_API = {"add", "remove", "instrumented"}
-
-#: Base-name spellings treated as "a HookRegistry lives here".
-_HOOKS_BASES = {"hooks", "_registry"}
 
 
 def _last_name(node: ast.expr) -> str | None:
@@ -49,322 +22,6 @@ def _last_name(node: ast.expr) -> str | None:
         return node.attr
     return None
 
-
-def is_hooks_base(node: ast.expr) -> bool:
-    """Whether ``node`` plausibly evaluates to a ``HookRegistry``."""
-    name = _last_name(node)
-    return name is not None and name in _HOOKS_BASES
-
-
-@dataclass(frozen=True)
-class Registration:
-    """One ``hooks.add``/``remove`` (or wiring-tuple) subscription."""
-
-    rel: str
-    line: int
-    col: int
-    event: str
-    #: The callback expression (for arity resolution); may be None when
-    #: the registration was found structurally (wiring tuple).
-    callback: ast.expr | None
-    #: "add", "remove" or "wiring".
-    kind: str
-
-
-@dataclass(frozen=True)
-class FireSite:
-    """One ``callback(...)`` call inside an iteration over an event list."""
-
-    rel: str
-    line: int
-    col: int
-    event: str
-    arity: int
-
-
-@dataclass(frozen=True)
-class EventLoad:
-    """Any load of ``hooks.<event>`` (fire, alias, or truthiness check)."""
-
-    rel: str
-    line: int
-    col: int
-    event: str
-
-
-@dataclass
-class HookModel:
-    """The project's extracted hook contract."""
-
-    #: The registry vocabulary, in definition order; empty if the hooks
-    #: module was not part of the scanned tree.
-    events: tuple[str, ...] = ()
-    #: Line of the ``EVENTS`` assignment (for placing project findings).
-    events_line: int = 1
-    registrations: list[Registration] = field(default_factory=list)
-    fires: list[FireSite] = field(default_factory=list)
-    loads: list[EventLoad] = field(default_factory=list)
-    #: attribute name -> event, from ``obj.attr = hooks.<event>`` aliases.
-    attr_aliases: dict[str, str] = field(default_factory=dict)
-    #: (rel, class name) -> {method name -> (min positional, max positional,
-    #: has *args)} with ``self`` excluded.
-    methods: dict[tuple[str, str], dict[str, tuple[int, int, bool]]] = \
-        field(default_factory=dict)
-    #: rel -> {function name -> arity triple} for module-level functions.
-    functions: dict[str, dict[str, tuple[int, int, bool]]] = \
-        field(default_factory=dict)
-
-
-def build_hook_model(project: Project) -> HookModel:
-    model = HookModel()
-    for src in project:
-        if src.rel.endswith(HOOKS_MODULE_SUFFIX):
-            model.events, model.events_line = _extract_events(src)
-            break
-    known = set(model.events)
-    # Pass 1: signatures and cross-object aliases (needed before fires).
-    for src in project:
-        _collect_signatures(src, model)
-        _collect_attr_aliases(src, model, known)
-    # Pass 2: registrations, loads and fire sites.
-    for src in project:
-        _collect_registrations(src, model, known)
-        if not src.rel.endswith(HOOKS_MODULE_SUFFIX):
-            _collect_loads(src, model, known)
-        _collect_fires(src, model, known)
-    return model
-
-
-def _extract_events(src: SourceFile) -> tuple[tuple[str, ...], int]:
-    for node in ast.walk(src.tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if "EVENTS" not in targets:
-            continue
-        if isinstance(node.value, (ast.Tuple, ast.List)):
-            names = []
-            for element in node.value.elts:
-                if isinstance(element, ast.Constant) and \
-                        isinstance(element.value, str):
-                    names.append(element.value)
-            return tuple(names), node.lineno
-    return (), 1
-
-
-def _arity_of(args: ast.arguments, *, method: bool) -> tuple[int, int, bool]:
-    positional = [*args.posonlyargs, *args.args]
-    if method and positional and positional[0].arg in ("self", "cls"):
-        positional = positional[1:]
-    maximum = len(positional)
-    minimum = maximum - len(args.defaults)
-    return minimum, maximum, args.vararg is not None
-
-
-def _collect_signatures(src: SourceFile, model: HookModel) -> None:
-    module_fns: dict[str, tuple[int, int, bool]] = {}
-    for node in src.tree.body:  # type: ignore[attr-defined]
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            module_fns[node.name] = _arity_of(node.args, method=False)
-        elif isinstance(node, ast.ClassDef):
-            methods: dict[str, tuple[int, int, bool]] = {}
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    methods[item.name] = _arity_of(item.args, method=True)
-            model.methods[(src.rel, node.name)] = methods
-    model.functions[src.rel] = module_fns
-
-
-def _collect_attr_aliases(src: SourceFile, model: HookModel,
-                          known: set[str]) -> None:
-    """``obj.attr = hooks.<event>`` makes ``attr`` an event alias."""
-    for node in ast.walk(src.tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        value = node.value
-        if not (isinstance(value, ast.Attribute)
-                and is_hooks_base(value.value)
-                and value.attr in known):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Attribute):
-                model.attr_aliases[target.attr] = value.attr
-
-
-def _collect_registrations(src: SourceFile, model: HookModel,
-                           known: set[str]) -> None:
-    for node in ast.walk(src.tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (isinstance(func, ast.Attribute)
-                    and func.attr in ("add", "remove")
-                    and is_hooks_base(func.value)
-                    and len(node.args) == 2
-                    and isinstance(node.args[0], ast.Constant)
-                    and isinstance(node.args[0].value, str)):
-                model.registrations.append(Registration(
-                    rel=src.rel, line=node.lineno, col=node.col_offset,
-                    event=node.args[0].value, callback=node.args[1],
-                    kind=func.attr,
-                ))
-        elif isinstance(node, ast.Tuple):
-            # Wiring tuples, e.g. the telemetry recorder's
-            # ``(KIND_X, "event", self._on_x)`` rows: a string event name
-            # next to an ``_on_*`` callback attribute is a registration
-            # for contract purposes even though ``hooks.add`` is called
-            # with variables.
-            event = None
-            callback = None
-            for element in node.elts:
-                if isinstance(element, ast.Constant) and \
-                        isinstance(element.value, str) and \
-                        element.value in known:
-                    event = element.value
-                elif isinstance(element, ast.Attribute) and \
-                        element.attr.startswith("_on"):
-                    callback = element
-            if event is not None and callback is not None:
-                model.registrations.append(Registration(
-                    rel=src.rel, line=node.lineno, col=node.col_offset,
-                    event=event, callback=callback, kind="wiring",
-                ))
-
-
-def _collect_loads(src: SourceFile, model: HookModel,
-                   known: set[str]) -> None:
-    for node in ast.walk(src.tree):
-        if (isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, ast.Load)
-                and is_hooks_base(node.value)
-                and node.attr in known):
-            model.loads.append(EventLoad(
-                rel=src.rel, line=node.lineno, col=node.col_offset,
-                event=node.attr,
-            ))
-
-
-class _FireVisitor(ast.NodeVisitor):
-    """Finds ``callback(...)`` calls inside loops over event lists.
-
-    Local aliasing is resolved per function: plain assignments from
-    ``hooks.<event>``, conditional guards (``hooks.x if hooks else ()``),
-    tuple unpacking, and loads of project-wide attribute aliases.
-    """
-
-    def __init__(self, src: SourceFile, model: HookModel, known: set[str]):
-        self.src = src
-        self.model = model
-        self.known = known
-        self._locals: dict[str, str] = {}
-
-    # -- alias resolution ------------------------------------------------------
-
-    def _event_of(self, node: ast.expr) -> str | None:
-        """The event an expression evaluates to, if statically known."""
-        if isinstance(node, ast.Attribute):
-            if is_hooks_base(node.value) and node.attr in self.known:
-                return node.attr
-            alias = self.model.attr_aliases.get(node.attr)
-            if alias is not None:
-                return alias
-            return None
-        if isinstance(node, ast.Name):
-            return self._locals.get(node.id)
-        if isinstance(node, ast.IfExp):
-            return self._event_of(node.body) or self._event_of(node.orelse)
-        return None
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        saved = self._locals
-        self._locals = {}
-        self.generic_visit(node)
-        self._locals = saved
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        value = node.value
-        targets = node.targets
-        if len(targets) == 1 and isinstance(targets[0], ast.Tuple) and \
-                isinstance(value, ast.Tuple) and \
-                len(targets[0].elts) == len(value.elts):
-            pairs = list(zip(targets[0].elts, value.elts))
-        else:
-            pairs = [(target, value) for target in targets]
-        for target, rhs in pairs:
-            if isinstance(target, ast.Name):
-                event = self._event_of(rhs)
-                if event is not None:
-                    self._locals[target.id] = event
-                else:
-                    self._locals.pop(target.id, None)
-        self.generic_visit(node)
-
-    # -- fire-site collection --------------------------------------------------
-
-    def visit_For(self, node: ast.For) -> None:
-        event = self._event_of(node.iter)
-        if event is not None and isinstance(node.target, ast.Name):
-            callback_name = node.target.id
-            for inner in ast.walk(node):
-                if (isinstance(inner, ast.Call)
-                        and isinstance(inner.func, ast.Name)
-                        and inner.func.id == callback_name):
-                    self.model.fires.append(FireSite(
-                        rel=self.src.rel, line=inner.lineno,
-                        col=inner.col_offset, event=event,
-                        arity=len(inner.args),
-                    ))
-        self.generic_visit(node)
-
-
-def _collect_fires(src: SourceFile, model: HookModel,
-                   known: set[str]) -> None:
-    _FireVisitor(src, model, known).visit(src.tree)
-
-
-def resolve_callback_arity(model: HookModel, registration: Registration
-                           ) -> tuple[int, int, bool] | None:
-    """Positional-arity bounds of a registration's callback, if resolvable.
-
-    Handles ``self._on_x`` / ``obj._on_x`` (method of a class in the same
-    file), bare function names, and lambdas.  Returns ``None`` when the
-    callback cannot be resolved statically.
-    """
-    callback = registration.callback
-    if callback is None:
-        return None
-    if isinstance(callback, ast.Lambda):
-        return _arity_of(callback.args, method=False)
-    name = None
-    if isinstance(callback, ast.Attribute):
-        name = callback.attr
-    elif isinstance(callback, ast.Name):
-        in_module = model.functions.get(registration.rel, {})
-        if callback.id in in_module:
-            return in_module[callback.id]
-        name = callback.id
-    if name is None:
-        return None
-    # Search classes in the registration's own file first, then anywhere.
-    candidates = []
-    for (rel, _cls), methods in model.methods.items():
-        if name in methods:
-            candidates.append((0 if rel == registration.rel else 1,
-                               methods[name]))
-    if not candidates:
-        return None
-    candidates.sort(key=lambda pair: pair[0])
-    same_file = [arity for distance, arity in candidates if distance == 0]
-    pool = same_file or [arity for _, arity in candidates]
-    # Ambiguous across files with differing arities: give up rather than
-    # guess wrong.
-    if len({arity for arity in pool}) > 1:
-        return None
-    return pool[0]
-
-
-# -- class models (stateful-invariant rules: RC) ------------------------------
 
 #: ``self.<attr>.<call>()`` spellings that count as *restoring* the
 #: attribute's state rather than rebinding the name (``reset()`` contract).

@@ -1,64 +1,35 @@
-"""The rule catalogue for ``repro check``.
+"""The rule catalogue for ``python -m repro.analysis``.
 
-Eight families, twenty-seven rules (see ``docs/static-analysis.md``):
+Three families, eleven rules (see ``docs/static-analysis.md``):
 
 =========  ==================================================
 family     invariant
 =========  ==================================================
 ``DT0xx``  determinism: identical seeds give identical runs
 ``UN0xx``  unit consistency across the photonics layer
-``HC0xx``  hook contract between engine and subscribers
-``HP0xx``  purity of the inlined hot loop
 ``RC0xx``  reset() restores everything __init__ creates
-``CK0xx``  memo/hash keys cover every behavioral input
-``SP0xx``  pool-boundary picklability and canonical hashing
-``SU0xx``  suppression hygiene (no stale noqa comments)
 =========  ==================================================
 
-To add a rule: subclass :class:`repro.analysis.framework.Rule` in the
-matching family module, give it the next free id, and list it here.
-``all_rules`` is the single registration point — tests assert id
-uniqueness against it.
+Each family guards an invariant a real defect broke.  A new rule
+subclasses :class:`repro.analysis.framework.Rule` in its family module,
+takes the next free id and is listed in ``_RULE_CLASSES``; ``all_rules``
+is the single registration point, and the tests pin its exact id set.
 """
 
 from __future__ import annotations
 
 from repro.analysis.framework import Rule
-from repro.analysis.rules.cachekeys import (
-    GuardKeyAgreementRule,
-    MemoKeyCoverageRule,
-    SweepPointCoverageRule,
-)
 from repro.analysis.rules.determinism import (
     IdOrderingRule,
     UnseededRandomRule,
     UnsortedSetIterationRule,
     WallClockRule,
 )
-from repro.analysis.rules.hookcontract import (
-    SignatureMismatchRule,
-    UnfiredEventRule,
-    UnknownFireRule,
-    UnknownRegistrationRule,
-)
-from repro.analysis.rules.hotpath import (
-    ClosureInHotPathRule,
-    ComprehensionInHotPathRule,
-    LocalImportRule,
-    LoggingInHotPathRule,
-    StaleHotEntryRule,
-)
 from repro.analysis.rules.resets import (
     ResetCompletenessRule,
     ResetDriftRule,
     ResetExemptionStalenessRule,
 )
-from repro.analysis.rules.serialization import (
-    BoundaryFieldRule,
-    CanonicalHashingRule,
-    PoolSubmissionRule,
-)
-from repro.analysis.rules.suppressions import StaleSuppressionRule
 from repro.analysis.rules.units import (
     InlineDbMathRule,
     MagicScaleConstantRule,
@@ -75,25 +46,9 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
     MagicScaleConstantRule,
     SuffixContradictionRule,
     InlineDbMathRule,
-    UnknownRegistrationRule,
-    UnknownFireRule,
-    UnfiredEventRule,
-    SignatureMismatchRule,
-    LocalImportRule,
-    LoggingInHotPathRule,
-    ClosureInHotPathRule,
-    ComprehensionInHotPathRule,
-    StaleHotEntryRule,
     ResetCompletenessRule,
     ResetDriftRule,
     ResetExemptionStalenessRule,
-    SweepPointCoverageRule,
-    MemoKeyCoverageRule,
-    GuardKeyAgreementRule,
-    PoolSubmissionRule,
-    CanonicalHashingRule,
-    BoundaryFieldRule,
-    StaleSuppressionRule,
 )
 
 

@@ -11,8 +11,6 @@ Commands
     Synthesise a SPLASH2-like traffic trace to a file.
 ``sweep``
     Run a Fig. 5 or fault-margin sweep through the resilient executor.
-``check``
-    Run the project static-analysis pass (:mod:`repro.analysis`).
 ``report``
     Regenerate EXPERIMENTS.md (delegates to
     :mod:`repro.experiments.report`).
@@ -144,28 +142,6 @@ def _add_sweep_parser(subparsers) -> None:
                              "JSONL trace file")
 
 
-def _add_check_parser(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "check", help="run the project static-analysis pass "
-                      "(determinism/units/hooks/hot-path/"
-                      "stateful-invariant rules)")
-    parser.add_argument("paths", nargs="*",
-                        help="files or directories to check "
-                             "(default: the repro package)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text")
-    parser.add_argument("--rules", metavar="ID[,ID...]", default=None,
-                        help="comma-separated rule ids to run")
-    parser.add_argument("--root", default=None,
-                        help="directory findings are reported relative to")
-    parser.add_argument("--output", default=None, metavar="REPORT",
-                        help="also write the report to this file")
-    parser.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                        metavar="BASE",
-                        help="report only findings in files changed vs. "
-                             "the git ref BASE (default HEAD)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -177,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("table2", help="print the Table 2 power budget")
     _add_trace_parser(subparsers)
     _add_sweep_parser(subparsers)
-    _add_check_parser(subparsers)
     report = subparsers.add_parser(
         "report", help="regenerate EXPERIMENTS.md (slow)")
     report.add_argument("--scale", default="bench",
@@ -478,17 +453,6 @@ def _command_sweep(args) -> int:
     return 0
 
 
-def _command_check(args) -> int:
-    from pathlib import Path
-
-    from repro.analysis.cli import run as check_run
-
-    args.paths = [Path(p) for p in args.paths]
-    args.root = Path(args.root) if args.root else None
-    args.output = Path(args.output) if args.output else None
-    return check_run(args)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -500,8 +464,6 @@ def main(argv: list[str] | None = None) -> int:
             return _command_trace(args)
         if args.command == "sweep":
             return _command_sweep(args)
-        if args.command == "check":
-            return _command_check(args)
         if args.command == "report":
             from repro.experiments.report import main as report_main
 

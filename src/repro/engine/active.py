@@ -79,7 +79,7 @@ class ActiveSet(Generic[T]):
         else:
             # Runs only on a cache miss (membership changed since the last
             # snapshot); steady-state windows reuse the memoised list.
-            cache = [members[k] for k in sorted(members)]  # repro: noqa[HP004] cache-miss path only
+            cache = [members[k] for k in sorted(members)]
         self._cache = cache
         return cache
 

@@ -55,7 +55,7 @@ class ExperimentScale:
         Fig. 5(a) shows to be bad.
         """
         base = TransitionConfig()
-        ratio = self.policy_window_cycles / 1000.0  # repro: noqa[UN002] ratio to the paper's Tw=1000, not a unit conversion
+        ratio = self.policy_window_cycles / PolicyConfig.window_cycles
         return replace(
             base,
             bit_rate_transition_cycles=max(

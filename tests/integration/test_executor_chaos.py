@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.hooks import HookRegistry
 from repro.errors import SweepExecutionError
 from repro.experiments.executor import ExecutionPlan, execute_sweep
 from repro.experiments.journal import SweepJournal
@@ -40,15 +41,23 @@ class TestWorkerCrashRecovery:
     def test_crash_costs_only_the_crashing_point(self, baseline, workers):
         # The crash breaks the pool under every point in flight; each is
         # re-run alone, and only p0, whose solo run crashes again, fails.
+        hooks = HookRegistry()
+        crashes = []
+        hooks.add("exec_crash", lambda label, key, attempt, cause:
+                  crashes.append((label, cause)))
         with inject("crash", "p0"):
             outcome = execute_sweep(sweep_points(), max_workers=workers,
-                                    plan=ExecutionPlan())
+                                    plan=ExecutionPlan(), hooks=hooks)
         assert outcome.results[0] is None
         assert outcome.results[1:] == baseline[1:]
         [failure] = outcome.report.failures
         assert (failure.label, failure.cause) == ("p0", "crash")
         assert outcome.stats.failed == 1
         assert outcome.stats.crashes == 2
+        # exec_crash fires with its documented arity: once per point in
+        # flight at the first crash, once more for p0's solo re-run.
+        assert crashes.count(("p0", "crash")) == 2
+        assert {cause for _, cause in crashes} == {"crash"}
 
     def test_journal_logs_the_attempts_a_crash_cost(self, tmp_path):
         journal = tmp_path / "sweep.sqlite"

@@ -8,11 +8,13 @@ technologies to a 1e-12 bound (in practice the values are identical
 floats, since the build path calls the very same ``power()``).
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import MODULATOR, PowerAwareConfig
+from repro.config import MODULATOR, VCSEL, NetworkConfig, PowerAwareConfig
 from repro.core.levels import BitRateLadder, OpticalBands
 from repro.core.manager import NetworkPowerManager
 from repro.core.tables import OperatingPointTable
@@ -114,3 +116,26 @@ class TestManagerUsesTheTable:
         assert manager.table.level_powers == expected
         for pal in manager.links:
             assert pal.level_powers is manager.table.level_powers
+
+    @pytest.mark.parametrize("change", [
+        {"technology": VCSEL},
+        {"min_bit_rate": 6e9},
+        {"max_bit_rate": 8e9},
+        {"num_levels": 4},
+        {"optical_levels": 3},
+    ], ids=lambda change: "+".join(change))
+    def test_memo_serves_each_config_its_own_table(self, change):
+        # The per-process table memo is keyed by a tuple of config
+        # fields; a config differing from a memoised one in any field the
+        # table is built from must still get its own table.
+        network = NetworkConfig(mesh_width=2, mesh_height=2,
+                                nodes_per_cluster=2)
+        base = PowerAwareConfig(technology=MODULATOR)
+        first = NetworkPowerManager(
+            ClusteredMesh(network, StatsCollector()), base, network)
+        manager = NetworkPowerManager(
+            ClusteredMesh(network, StatsCollector()),
+            replace(base, **change), network)
+        assert manager.table != first.table
+        assert manager.table == OperatingPointTable.build(
+            manager.power_model, manager.ladder, manager.bands)

@@ -1,4 +1,4 @@
-"""The class-model layer behind the MC/RC stateful-invariant rules.
+"""The class-model layer behind the RC reset-completeness rules.
 
 Each test parses a miniature source tree and asserts on the
 :class:`~repro.analysis.project.ClassModelIndex` directly — the package
@@ -6,7 +6,7 @@ idioms the models must understand (inherited ``__init__``, the frozen
 ``object.__setattr__`` hash cache, conditional assignment, ``reset()``
 delegation, in-place restoration through local aliases) each get a
 fixture here so a model regression is named before it surfaces as a
-false RC/MC finding.
+false RC finding.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def model_tree(tmp_path):
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(source, encoding="utf-8")
             sources.append(SourceFile.parse(target, rel))
-        return build_class_models(Project(sources, tmp_path))
+        return build_class_models(Project(sources))
 
     return _build
 

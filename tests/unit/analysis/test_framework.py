@@ -1,14 +1,8 @@
-"""Framework-level tests: suppressions, JSON schema, rule registry."""
-
-import json
+"""Framework-level tests: the text report and the rule registry."""
 
 import pytest
 
-from repro.analysis.framework import (
-    JSON_SCHEMA_VERSION,
-    Finding,
-    run_check,
-)
+from repro.analysis.framework import run_check
 from repro.analysis.rules import all_rules
 
 FLAGGED = "import random\nx = random.random()\n"
@@ -18,69 +12,7 @@ def rule_ids_of(result):
     return [finding.rule_id for finding in result.findings]
 
 
-class TestSuppression:
-    def test_line_noqa_suppresses_only_that_line(self, check_tree):
-        result = check_tree({
-            "repro/a.py": (
-                "import random\n"
-                "x = random.random()  # repro: noqa[DT001] test fixture\n"
-                "y = random.random()\n"
-            ),
-        })
-        assert rule_ids_of(result) == ["DT001"]
-        assert result.suppressed == 1
-        assert result.findings[0].line == 3
-
-    def test_file_noqa_suppresses_everywhere(self, check_tree):
-        result = check_tree({
-            "repro/a.py": (
-                "# repro: noqa-file[DT001] test fixture\n"
-                "import random\n"
-                "x = random.random()\n"
-                "y = random.random()\n"
-            ),
-        })
-        assert result.ok
-        assert result.suppressed == 2
-
-    def test_noqa_with_multiple_ids(self, check_tree):
-        result = check_tree({
-            "repro/a.py": (
-                "import random, time\n"
-                "x = random.random() + time.time()"
-                "  # repro: noqa[DT001,DT004] fixture\n"
-            ),
-        })
-        assert result.ok
-        assert result.suppressed == 2
-
-    def test_noqa_for_other_rule_does_not_suppress(self, check_tree):
-        result = check_tree({
-            "repro/a.py": (
-                "import random\n"
-                "x = random.random()  # repro: noqa[DT004] wrong id\n"
-            ),
-        })
-        # The wrong-id noqa both fails to suppress DT001 and is itself
-        # stale (SU001): it never matched anything in this run.
-        assert sorted(rule_ids_of(result)) == ["DT001", "SU001"]
-        assert result.suppressed == 0
-
-
-class TestJsonReport:
-    def test_schema_and_round_trip(self, check_tree):
-        result = check_tree({"repro/a.py": FLAGGED})
-        payload = json.loads(result.to_json())
-        assert payload["version"] == JSON_SCHEMA_VERSION
-        assert payload["files_checked"] == 1
-        assert payload["suppressed"] == 0
-        assert payload["counts"] == {"DT001": 1}
-        assert set(payload["findings"][0]) == {
-            "rule", "severity", "path", "line", "col", "message", "hint",
-        }
-        restored = [Finding.from_dict(f) for f in payload["findings"]]
-        assert restored == result.findings
-
+class TestTextReport:
     def test_clean_report(self, check_tree):
         result = check_tree({"repro/a.py": "x = 1\n"})
         assert result.ok
@@ -92,17 +24,20 @@ class TestJsonReport:
         assert "repro/a.py:2:4: DT001" in text
         assert "hint:" in text
 
+    def test_comments_do_not_silence_findings(self, check_tree):
+        # There is no suppression syntax: a finding fails the check
+        # whatever comment sits on its line.
+        result = check_tree({"repro/a.py": (
+            "import random\n"
+            "x = random.random()  # repro: noqa[DT001]\n"
+        )})
+        assert rule_ids_of(result) == ["DT001"]
+
 
 class TestRuleRegistry:
     def test_rule_ids_unique(self):
         ids = [rule.rule_id for rule in all_rules()]
         assert len(ids) == len(set(ids))
-
-    def test_at_least_four_families_and_ten_rules(self):
-        ids = [rule.rule_id for rule in all_rules()]
-        families = {rule_id[:2] for rule_id in ids}
-        assert {"DT", "UN", "HC", "HP"} <= families
-        assert len(ids) >= 10
 
     def test_every_rule_documents_itself(self):
         for rule in all_rules():

@@ -73,6 +73,11 @@ class TestUnsortedSetIteration:
         })
         assert result.ok
 
+    def test_determinism_rules_scope_covers_topologies(self):
+        from repro.analysis.rules.determinism import DETERMINISTIC_LAYERS
+
+        assert "repro/network/mesh.py".startswith(DETERMINISTIC_LAYERS)
+
 
 class TestIdOrdering:
     def test_flags_sorted_key_id(self, check_tree):

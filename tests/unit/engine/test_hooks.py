@@ -2,9 +2,25 @@
 
 import pytest
 
+from repro.config import NetworkConfig, SimulationConfig
 from repro.engine.hooks import EVENTS, HookRegistry
 from repro.engine.profiler import PhaseProfiler
 from repro.errors import ConfigError
+from repro.experiments.configs import get_scale, power_config
+from repro.network.links import MESH
+from repro.network.simulator import Simulator
+from repro.network.stats import StatsCollector
+from repro.network.topology import NetworkFabric
+from repro.reliability import FaultConfig, LinkFailure
+from repro.traffic import UniformRandomTraffic
+
+#: One callback per simulator event, taking exactly the arguments the
+#: event is documented to pass (repro.engine.hooks).
+SIMULATOR_EVENT_ARITY = {
+    "phase_start": 2, "phase_end": 2, "window": 2, "transition": 3,
+    "policy": 5, "power_sample": 2, "delivery": 3, "packet_delivered": 2,
+    "fault": 3, "retransmit": 4, "link_failure": 2,
+}
 
 
 class TestHookRegistry:
@@ -63,6 +79,51 @@ class TestHookRegistry:
         hooks = HookRegistry()
         for event in EVENTS:
             assert getattr(hooks, event) == []
+
+    def test_every_simulator_event_fires_with_its_documented_arity(self):
+        """A power-aware, fault-injected run with a hard link failure
+        fires every simulator event, each through a callback that takes
+        exactly the documented arguments (a fire site passing any other
+        count raises TypeError).  ``HookRegistry.add`` rejects unknown
+        names at registration.  The executor's two events are fired
+        outside the simulator: ``exec_point`` in
+        tests/unit/experiments/test_executor.py
+        (``test_hooks_see_the_whole_lifecycle``) and ``exec_crash`` in
+        tests/integration/test_executor_chaos.py
+        (``test_crash_costs_only_the_crashing_point``); the recorder's
+        handlers for both are in tests/unit/telemetry/test_recorder.py.
+        """
+        assert set(SIMULATOR_EVENT_ARITY) == \
+            set(EVENTS) - {"exec_point", "exec_crash"}
+        network = NetworkConfig(mesh_width=2, mesh_height=2,
+                                nodes_per_cluster=2)
+        fabric = NetworkFabric(network, StatsCollector())
+        dead = next(link.link_id for link in fabric.links
+                    if link.kind == MESH)
+        config = SimulationConfig(
+            network=network,
+            power=power_config(get_scale("smoke")),
+            # Low received power with the margin guard off: links step
+            # down into lossy levels, so flits fail CRC and are re-sent.
+            faults=FaultConfig(seed=3, received_power_w=13e-6,
+                               margin_guard=False,
+                               failures=(LinkFailure(dead, at_cycle=500),)),
+            warmup_cycles=0, sample_interval=100,
+        )
+        sim = Simulator(config, UniformRandomTraffic(
+            network.num_nodes, injection_rate=0.5, seed=2))
+        fired = dict.fromkeys(SIMULATOR_EVENT_ARITY, 0)
+
+        def counter(event, arity):
+            def on_event(*args):
+                assert len(args) == arity, (event, args)
+                fired[event] += 1
+            return on_event
+
+        for event, arity in SIMULATOR_EVENT_ARITY.items():
+            sim.hooks.add(event, counter(event, arity))
+        sim.run(2_000)
+        assert [event for event, count in fired.items() if count == 0] == []
 
 
 class FakeClock:

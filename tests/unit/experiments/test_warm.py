@@ -4,13 +4,23 @@ import pickle
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
-from repro.config import NetworkConfig, PowerAwareConfig
+from repro.config import (
+    MODULATOR,
+    VCSEL,
+    NetworkConfig,
+    PolicyConfig,
+    PowerAwareConfig,
+    TransitionConfig,
+)
 from repro.experiments import warm
 from repro.experiments.configs import ExperimentScale
 from repro.experiments.fig5 import uniform_factory
+from repro.experiments.fig6 import hotspot_factory
+from repro.experiments.fig7 import splash_factory
 from repro.experiments.journal import point_key
 from repro.experiments.runner import SweepPoint, run_pair
 from repro.experiments.warm import (
@@ -223,6 +233,44 @@ def test_warm_and_cold_agree_on_faulted_points():
     cold = [run_fresh(faulted), run_fresh(clean), run_fresh(faulted)]
     assert [run_point_warm(faulted), run_point_warm(clean),
             run_point_warm(faulted)] == cold
+
+
+@pytest.mark.parametrize("change", [
+    {"technology": VCSEL},
+    {"min_bit_rate": 6e9},
+    {"num_levels": 4},
+    {"optical_levels": 3},
+], ids=lambda change: "+".join(change))
+def test_warm_and_cold_agree_when_the_power_structure_changes(change):
+    # A warm reset may only absorb a point whose ladder, power model,
+    # table and bands match the simulator's; any other point is built
+    # cold, so the sequence equals cold runs.  Short windows and laser
+    # epochs under the bursty Fig. 6 load make every change visible.
+    transitions = TransitionConfig(
+        bit_rate_transition_cycles=2, voltage_transition_cycles=10,
+        optical_transition_cycles=100, laser_epoch_cycles=200)
+    power = PowerAwareConfig(technology=MODULATOR,
+                             policy=PolicyConfig(window_cycles=100),
+                             transitions=transitions)
+    base = SweepPoint(label="b", scale=TINY, power=power,
+                      traffic_factory=hotspot_factory(TINY), seed=1,
+                      cycles=1_500)
+    variant = replace(base, power=replace(power, **change))
+    cold = [run_fresh(base), run_fresh(variant)]
+    assert cold[0] != cold[1]
+    assert [run_point_warm(base), run_point_warm(variant)] == cold
+
+
+def test_warm_and_cold_agree_on_drained_points():
+    # A drained point stops once its finite trace is delivered, well
+    # before its cycle budget; the warm runner must honour ``drain``.
+    factory = splash_factory("fft", TINY, duration=400)
+    drained = SweepPoint(label="d", scale=TINY, power=PowerAwareConfig(),
+                         traffic_factory=factory, seed=1, cycles=3_000,
+                         drain=True)
+    cold = run_fresh(drained)
+    assert cold.cycles < drained.cycles
+    assert run_point_warm(drained) == cold
 
 
 def _short_sweep() -> list[SweepPoint]:
